@@ -44,21 +44,12 @@ def _frac_obj(value):
     return {"fraction": f"{f.numerator}/{f.denominator}", "float": float(f)}
 
 
-def _parse_int_list(text, what):
+def _parse_list(text, what, kind=int):
     try:
-        items = tuple(int(p) for p in text.split(",") if p.strip())
+        items = tuple(kind(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}")
-    if not items:
-        raise ValueError(f"{what} is empty")
-    return items
-
-
-def _parse_float_list(text, what):
-    try:
-        items = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ValueError(f"{what} must be a comma-separated number list, got {text!r}")
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{what} must be a comma-separated {noun} list, got {text!r}")
     if not items:
         raise ValueError(f"{what} is empty")
     return items
@@ -112,7 +103,7 @@ def cmd_validate(args):
 
 def cmd_exact(args):
     vplan = _plan.as_validated(_plan.load_plan_file(args.plan))
-    positions = _parse_int_list(args.positions, "--positions")
+    positions = _parse_list(args.positions, "--positions")
     out = {
         "schema": SCHEMA_VERSION,
         "command": "exact",
@@ -187,8 +178,8 @@ def cmd_simulate(args):
     vplan = _plan.as_validated(_plan.load_plan_file(args.plan))
     density = _resolve_density(args.density)
     horizon = args.horizon if args.horizon is not None else vplan.length
-    joint = _parse_int_list(args.positions, "--positions") if args.positions else ()
-    grid = _parse_float_list(args.grid, "--grid") if args.grid else ()
+    joint = _parse_list(args.positions, "--positions") if args.positions else ()
+    grid = _parse_list(args.grid, "--grid", float) if args.grid else ()
     if grid and args.r is None:
         raise ValueError("--grid needs --r")
     if args.checkpoints is None:
@@ -196,7 +187,7 @@ def cmd_simulate(args):
     elif args.checkpoints == "auto":
         checkpoints = _auto_checkpoints(horizon)
     else:
-        checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
+        checkpoints = _parse_list(args.checkpoints, "--checkpoints")
 
     config = _simulate.SimConfig(
         plan=vplan,
@@ -210,7 +201,6 @@ def cmd_simulate(args):
         z=args.z,
     )
     result = _simulate.run(config)
-    os.makedirs(args.out, exist_ok=True)
 
     gates = []
     freq_rows = []
@@ -363,9 +353,9 @@ def cmd_simulate(args):
 def cmd_discrete_sweep(args):
     vplan = _plan.as_validated(_plan.load_plan_file(args.plan))
     density = _resolve_density(args.density)
-    positions = _parse_int_list(args.positions, "--positions")
-    m_values = _parse_int_list(args.m, "--m")
-    r_values = _parse_int_list(args.r_values, "--r-values")
+    positions = _parse_list(args.positions, "--positions")
+    m_values = _parse_list(args.m, "--m")
+    r_values = _parse_list(args.r_values, "--r-values")
 
     rows = _discrete.error_sweep(vplan, positions, density, m_values)
     _write_csv(

@@ -12,9 +12,11 @@ quantities:
   converges to the continuous product formula at rate O(1/m) with constant
   controlled by the density's smoothness bound.
 
-All computations stay in exact rational arithmetic whenever the density
-carries pdf_fraction/cdf_fraction hooks, so grid identities (and the
-deviations themselves) are free of rounding noise.
+One rule picks the arithmetic: a density carrying its Fraction hooks (a
+DensitySpec has both pdf_fraction and cdf_fraction or neither) is evaluated
+in exact rationals, any other density in floats.  _grid applies the rule;
+every sum and prefix below keeps the grid's number type, so exact grid
+identities (and the deviations themselves) are free of rounding noise.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     BadParams,
@@ -55,7 +58,7 @@ class DiscreteModel:
     def atom_value(self, l):
         if not 0 <= l <= self.top_index:
             raise IndexOutOfRange(f"atom {l} not in 0..{self.top_index}")
-        return Fraction(l, self.m) if self.exact else l / self.m
+        return _number(self.exact)(l) / self.m
 
     def mass(self, l):
         if not 0 <= l <= self.top_index:
@@ -67,6 +70,21 @@ class DiscreteModel:
         if not 0 <= l <= self.top_index + 1:
             raise IndexOutOfRange(f"l={l} not in 0..{self.top_index + 1}")
         return self.prefix[l]
+
+
+def _number(exact):
+    """The number type of the discrete layer: Fraction when exact, else float."""
+    return Fraction if exact else float
+
+
+def _sum(values, exact):
+    """Exact total of Fractions, or the correctly rounded total of floats."""
+    return sum(values, Fraction(0)) if exact else math.fsum(values)
+
+
+def _prefix(values, exact):
+    """Running sums [0, v_0, v_0 + v_1, ...] of the strictly earlier values."""
+    return list(accumulate(values, initial=_number(exact)(0)))
 
 
 def _grid_top(density, m):
@@ -81,55 +99,39 @@ def _grid_top(density, m):
     return int(rounded)
 
 
-def discretize(density, m):
-    """Build the discrete model with atoms proportional to f(l/m)."""
+def _grid(density, m):
+    """(m, exact, pdf, cdf) with pdf[l] = f(l/m) for l = 0..top and cdf[l] =
+    F(l/m) for l = 0..top+1 (1 past the support), evaluated once."""
     m = int(m)
     if m < 1:
         raise BadParams(f"grid resolution m must be >= 1, got {m}")
     top = _grid_top(density, m)
+    exact = density.pdf_fraction is not None
+    num = _number(exact)
+    pdf, cdf = (density.pdf_fraction, density.cdf_fraction) if exact else (density.pdf, density.cdf)
+    xs = [num(l) / m for l in range(top + 1)]
+    return m, exact, [num(pdf(x)) for x in xs], [num(cdf(x)) for x in xs] + [num(1)]
 
-    if density.pdf_fraction is not None:
-        raw = [density.pdf_fraction(Fraction(l, m)) for l in range(top + 1)]
-        total = sum(raw, Fraction(0))
-        if total == 0:
-            raise ZeroMass(f"{density.name} vanishes on the whole m={m} grid")
-        masses = tuple(v / total for v in raw)
-        prefix = [Fraction(0)]
-        for v in masses:
-            prefix.append(prefix[-1] + v)
-        return DiscreteModel(m, density.name, masses, tuple(prefix), True)
 
-    raw = [float(density.pdf(l / m)) for l in range(top + 1)]
-    total = math.fsum(raw)
+def _model(density, m, exact, pdf):
+    total = _sum(pdf, exact)
     if total <= 0:
         raise ZeroMass(f"{density.name} vanishes on the whole m={m} grid")
-    masses = tuple(v / total for v in raw)
-    prefix = [0.0]
-    for v in masses:
-        prefix.append(prefix[-1] + v)
-    prefix[-1] = 1.0
-    return DiscreteModel(m, density.name, masses, tuple(prefix), False)
+    masses = tuple(v / total for v in pdf)
+    prefix = _prefix(masses, exact)
+    prefix[-1] = _number(exact)(1)  # exact already; absorbs float rounding
+    return DiscreteModel(m, density.name, masses, tuple(prefix), exact)
 
 
-def _cdf_on_grid(density, m, top, exact):
-    """F(l/m) for l = 0..top+1 (clamped to 1 past the support)."""
-    if exact:
-        vals = [density.cdf_fraction(Fraction(l, m)) for l in range(top + 1)]
-        vals.append(Fraction(1))
-        return vals
-    vals = [float(density.cdf(l / m)) for l in range(top + 1)]
-    vals.append(1.0)
-    return vals
+def discretize(density, m):
+    """Build the discrete model with atoms proportional to f(l/m)."""
+    m, exact, pdf, _ = _grid(density, m)
+    return _model(density, m, exact, pdf)
 
 
-def _pdf_on_grid(density, m, top, exact):
-    if exact:
-        return [density.pdf_fraction(Fraction(l, m)) for l in range(top + 1)]
-    return [float(density.pdf(l / m)) for l in range(top + 1)]
-
-
-def _use_exact(density):
-    return density.pdf_fraction is not None and density.cdf_fraction is not None
+def _riemann(exact, pdf, cdf, r):
+    """sum_{l1 < l} F^(r-1)(l1/m) f(l1/m) for l = 0..top+1."""
+    return _prefix([c ** (r - 1) * f for f, c in zip(pdf, cdf)], exact)
 
 
 def theta(density, m, l, r=1):
@@ -138,22 +140,12 @@ def theta(density, m, l, r=1):
     Approximates F^r(l/m)/r, the limit object behind the discrete record
     laws.  l may run to top_index+1 (the full-grid sum).
     """
-    m = int(m)
-    if m < 1:
-        raise BadParams(f"grid resolution m must be >= 1, got {m}")
-    top = _grid_top(density, m)
-    if not 0 <= l <= top + 1:
-        raise IndexOutOfRange(f"l={l} not in 0..{top + 1}")
+    m, exact, pdf, cdf = _grid(density, m)
+    if not 0 <= l <= len(pdf):
+        raise IndexOutOfRange(f"l={l} not in 0..{len(pdf)}")
     if r < 1:
         raise BadParams(f"power r must be >= 1, got {r}")
-    exact = _use_exact(density)
-    cdf = _cdf_on_grid(density, m, top, exact)
-    pdf = _pdf_on_grid(density, m, top, exact)
-    if exact:
-        return sum(
-            (cdf[l1] ** (r - 1) * pdf[l1] for l1 in range(l)), Fraction(0)
-        ) / m
-    return math.fsum(cdf[l1] ** (r - 1) * pdf[l1] for l1 in range(l)) / m
+    return _riemann(exact, pdf, cdf, r)[l] / m
 
 
 @dataclass(frozen=True)
@@ -189,51 +181,28 @@ def lemma_checks(density, m, r=1):
     Exact rational when the density has Fraction hooks.  Returns
     {relation: LemmaDeviation}.
     """
-    m = int(m)
-    if m < 1:
-        raise BadParams(f"grid resolution m must be >= 1, got {m}")
     if r < 1:
         raise BadParams(f"power r must be >= 1, got {r}")
-    top = _grid_top(density, m)
-    exact = _use_exact(density)
-    cdf = _cdf_on_grid(density, m, top, exact)
-    pdf = _pdf_on_grid(density, m, top, exact)
-    model = discretize(density, m)
+    m, exact, pdf, cdf = _grid(density, m)
+    model = _model(density, m, exact, pdf)
+    atoms = range(len(pdf))
 
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    def worst(name, deviations):
+        arg = max(atoms, key=deviations.__getitem__)
+        return LemmaDeviation(name, r, m, deviations[arg], arg)
 
-    total = sum(pdf, zero) if exact else math.fsum(pdf)
-    out = {
-        "normalization": LemmaDeviation(
-            "normalization", r, m, abs(total / m - one), top + 1
-        )
+    target = [cdf[l] ** r / r for l in atoms]
+    riemann = _riemann(exact, pdf, cdf, r)
+    weighted = _prefix([g ** (r - 1) * v for g, v in zip(model.prefix, model.masses)], exact)
+    normalization = abs(_sum(pdf, exact) / m - _number(exact)(1))
+    return {
+        "normalization": LemmaDeviation("normalization", r, m, normalization, len(pdf)),
+        "riemann_theta": worst("riemann_theta", [abs(riemann[l] / m - target[l]) for l in atoms]),
+        "weighted_power_sum": worst(
+            "weighted_power_sum", [abs(weighted[l] - target[l]) for l in atoms]
+        ),
+        "cum_vs_cdf": worst("cum_vs_cdf", [abs(model.prefix[l] - cdf[l]) for l in atoms]),
     }
-
-    def running_max(name, deviations):
-        best, arg = zero, 0
-        for l, dev in enumerate(deviations):
-            if dev > best:
-                best, arg = dev, l
-        return LemmaDeviation(name, r, m, best, arg)
-
-    theta_devs = []
-    acc = zero
-    for l in range(top + 1):
-        theta_devs.append(abs(acc / m - cdf[l] ** r / r))
-        acc += cdf[l] ** (r - 1) * pdf[l]
-    out["riemann_theta"] = running_max("riemann_theta", theta_devs)
-
-    weighted_devs = []
-    acc = zero
-    for l in range(top + 1):
-        weighted_devs.append(abs(acc - cdf[l] ** r / r))
-        acc += model.prefix[l] ** (r - 1) * model.masses[l]
-    out["weighted_power_sum"] = running_max("weighted_power_sum", weighted_devs)
-
-    cum_devs = [abs(model.prefix[l] - cdf[l]) for l in range(top + 1)]
-    out["cum_vs_cdf"] = running_max("cum_vs_cdf", cum_devs)
-    return out
 
 
 def record_point_masses(plan, positions, model):
@@ -259,10 +228,7 @@ def record_point_masses(plan, positions, model):
             point = [big_g[l] ** gap * g[l] for l in range(atoms)]
         else:
             point = [big_g[l] ** gap * g[l] * level[l] for l in range(atoms)]
-        cum = [Fraction(0) if model.exact else 0.0]
-        for v in point:
-            cum.append(cum[-1] + v)
-        level = cum
+        level = _prefix(point, model.exact)
         prev_card = vplan.cardinality(t)
     return tuple(point)
 
@@ -273,10 +239,7 @@ def joint_record_prob_discrete(plan, positions, model):
     Exact rational when the model is exact; converges to the continuous
     product of 1/c(n_t) as m grows, with error O(1/m).
     """
-    point = record_point_masses(plan, positions, model)
-    if model.exact:
-        return sum(point, Fraction(0))
-    return math.fsum(point)
+    return _sum(record_point_masses(plan, positions, model), model.exact)
 
 
 def bounded_profile(plan, positions, model):
@@ -284,11 +247,7 @@ def bounded_profile(plan, positions, model):
 
     Length top_index + 2; B(top+1) is the unconditional joint probability.
     """
-    point = record_point_masses(plan, positions, model)
-    cum = [Fraction(0) if model.exact else 0.0]
-    for v in point:
-        cum.append(cum[-1] + v)
-    return tuple(cum)
+    return tuple(_prefix(record_point_masses(plan, positions, model), model.exact))
 
 
 def profile_vs_continuous(plan, positions, model, density):
@@ -304,9 +263,7 @@ def profile_vs_continuous(plan, positions, model, density):
     positions = check_positions(vplan, positions)
     profile = bounded_profile(vplan, positions, model)
     base = _exact.joint_record_prob(vplan, positions)
-    top = model.top_index
-    exact = _use_exact(density)
-    cdf = _cdf_on_grid(density, model.m, top, exact)
+    *_, cdf = _grid(density, model.m)
 
     out = {}
     for convention in _exact.EXPONENT_CONVENTIONS:
@@ -315,11 +272,9 @@ def profile_vs_continuous(plan, positions, model, density):
             if convention == "cardinality"
             else vplan.index(positions[-1])
         )
-        dev = max(
-            abs(float(profile[l]) - float(base) * float(cdf[l]) ** e)
-            for l in range(top + 2)
+        out[convention] = max(
+            abs(float(b) - float(base) * float(c) ** e) for b, c in zip(profile, cdf)
         )
-        out[convention] = dev
     return out
 
 
@@ -350,9 +305,7 @@ def error_sweep(plan, positions, density, m_values):
     for m in m_values:
         model = discretize(density, m)
         value = joint_record_prob_discrete(vplan, positions, model)
-        if model.exact:
-            err = abs(value - target)
-        else:
-            err = abs(float(value) - float(target))
+        # float - Fraction converts the Fraction, so a float model gets float errors
+        err = abs(value - target)
         rows.append(SweepRow(m=int(m), discrete=value, continuous=target, abs_error=err))
     return tuple(rows)

@@ -19,10 +19,10 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from .errors import BadParams, InversionFailure, UnknownFamily
-from .quadrature import adaptive_simpson
+from .errors import BadParams, InversionFailure, QuadratureFailure, UnknownFamily
 
 TOL_ENDPOINT = 1e-10
 TOL_NORMALIZATION = 1e-8
@@ -42,8 +42,9 @@ class DensitySpec:
     """A continuous density on [0, support_upper] (inf for unbounded tails).
 
     pdf/cdf/inverse_cdf accept floats or numpy arrays.  pdf_fraction and
-    cdf_fraction, when present, map a Fraction in [0, M] to an exact Fraction
-    value; the discrete layer uses them to stay in rational arithmetic.
+    cdf_fraction map a Fraction in [0, M] to an exact Fraction value; they
+    come in pairs (both or neither), and with them the discrete layer stays
+    in rational arithmetic.
     """
 
     name: str
@@ -57,6 +58,10 @@ class DensitySpec:
     cdf_fraction: Callable | None = None
     # interior points where the pdf loses smoothness; quadrature splits here
     breakpoints: tuple = ()
+
+    def __post_init__(self):
+        if (self.pdf_fraction is None) != (self.cdf_fraction is None):
+            raise BadParams(f"{self.name}: pdf_fraction and cdf_fraction come in pairs")
 
     @property
     def bounded(self):
@@ -344,18 +349,8 @@ def tabulated_density(xs, fs, name="tabulated"):
     if total <= 0:
         raise BadParams("tabulated density has zero total mass")
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        ok = (x >= 0.0) & (x <= upper)
-        safe = np.where(ok, x, 0.0)
-        vals = np.asarray(shape(safe)) / total
-        return np.where(ok, np.maximum(vals, 0.0), 0.0)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, 0.0, upper)
-        return np.clip(np.asarray(anti(clipped)) / total, 0.0, 1.0)
-
+    pdf = _masked(upper, lambda x: np.maximum(np.asarray(shape(x)) / total, 0.0))
+    cdf = _clipped_cdf(upper, lambda x: np.asarray(anti(x)) / total)
     fine = np.linspace(0.0, upper, 4001)
     fvals = pdf(fine)
     deriv = np.asarray(shape.derivative()(fine)) / total
@@ -417,14 +412,16 @@ def verify_density(spec, grid_points=1001):
             problems.append("cdf is not nondecreasing")
         if np.any(np.asarray(spec.pdf(grid)) < 0):
             problems.append("pdf takes negative values")
-        cuts = [0.0, *(b for b in spec.breakpoints if 0.0 < b < upper), upper]
+        cuts = [b for b in spec.breakpoints if 0.0 < b < upper]
         try:
-            mass = math.fsum(
-                adaptive_simpson(
-                    lambda x: float(spec.pdf(x)), a, b, tol=1e-10 / len(cuts)
-                )
-                for a, b in zip(cuts, cuts[1:])
+            # QUADPACK's adaptive Gauss-Kronrod; the breakpoints start the
+            # partition, so the subinterval budget grows with their count
+            mass, _, _, *failure = quad(
+                lambda x: float(spec.pdf(x)), 0.0, upper, points=cuts,
+                epsabs=1e-10, epsrel=0.0, limit=50 + len(cuts), full_output=1,
             )
+            if failure:
+                raise QuadratureFailure(failure[0])
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
             problems.append(f"pdf quadrature failed: {exc}")
         else:

@@ -68,7 +68,8 @@ class NonIntegerGrid(PartialRecordsError, ValueError):
 
 
 class StateSpaceTooLarge(PartialRecordsError, ValueError):
-    """Exhaustive discrete enumeration guard exceeded."""
+    """A size guard was exceeded: exhaustive discrete enumeration, or
+    materializing every comparison set of a plan (as saving or hashing does)."""
 
 
 class NegativeCutoff(PartialRecordsError, ValueError):

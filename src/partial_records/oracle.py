@@ -64,16 +64,18 @@ def relevant_indices(plan, positions):
     return tuple(sorted(rel))
 
 
-def _event_masks(vplan, positions, rel, perms):
+def _event_masks(vplan, positions, rel, values):
+    """Per selected position, which rows of values (one column per relevant
+    index) have the candidate strictly above every comparison value."""
     col = {idx: j for j, idx in enumerate(rel)}
     masks = []
     for t in positions:
-        cand = perms[:, col[vplan.index(t)]]
+        cand = values[:, col[vplan.index(t)]]
         members = [col[e] for e in sorted(vplan.comparison_set(t))]
         if members:
-            masks.append(cand > perms[:, members].max(axis=1))
+            masks.append(cand > values[:, members].max(axis=1))
         else:
-            masks.append(np.ones(perms.shape[0], dtype=bool))
+            masks.append(np.ones(values.shape[0], dtype=bool))
     return masks
 
 
@@ -202,18 +204,11 @@ def exhaustive_discrete_joint(plan, positions, model, max_outcomes=4_000_000):
             f"{atoms}^{k} = {outcomes} outcomes exceeds cap {max_outcomes}"
         )
 
-    col = {idx: j for j, idx in enumerate(rel)}
     codes = np.arange(outcomes, dtype=np.int64)
     vals = np.empty((outcomes, k), dtype=np.int32)
     for j in range(k):
         vals[:, j] = (codes // atoms ** (k - 1 - j)) % atoms
-
-    mask = np.ones(outcomes, dtype=bool)
-    for t in positions:
-        cand = vals[:, col[vplan.index(t)]]
-        members = [col[e] for e in sorted(vplan.comparison_set(t))]
-        if members:
-            mask &= cand > vals[:, members].max(axis=1)
+    mask = np.logical_and.reduce(_event_masks(vplan, positions, rel, vals))
 
     if model.exact:
         denom = math.lcm(*(mass.denominator for mass in model.masses))

@@ -33,6 +33,7 @@ from .errors import (
     IndexOutOfRange,
     NegativeCutoff,
     PlanValidationError,
+    StateSpaceTooLarge,
 )
 
 # violation kinds reported by validate()
@@ -124,22 +125,23 @@ class ValidatedPlan:
     def max_index(self):
         return self.indices[-1]
 
+    def _check(self, t, what="position"):
+        if not 1 <= t <= self.length:
+            raise IndexOutOfRange(f"{what} {t} not in 1..{self.length}")
+
     def index(self, t):
         """Time index n_t at subsequence position t (1-based)."""
-        if not 1 <= t <= self.length:
-            raise IndexOutOfRange(f"position {t} not in 1..{self.length}")
+        self._check(t)
         return self.indices[t - 1]
 
     def cardinality(self, t):
         """c(n_t) = |C(n_t)| + 1, the record odds denominator at position t."""
-        if not 1 <= t <= self.length:
-            raise IndexOutOfRange(f"position {t} not in 1..{self.length}")
+        self._check(t)
         return self.cardinalities[t - 1]
 
     def comparison_set(self, t):
         """Materialize C(n_t).  Costs O(|C(n_t)|)."""
-        if not 1 <= t <= self.length:
-            raise IndexOutOfRange(f"position {t} not in 1..{self.length}")
+        self._check(t)
         members = set(self.indices[: t - 1])
         for fresh in self.fresh_sets[:t]:
             members.update(fresh)
@@ -148,18 +150,15 @@ class ValidatedPlan:
     def drawn_indices(self, horizon=None):
         """All time indices a simulation must draw to resolve positions 1..horizon."""
         horizon = self.length if horizon is None else horizon
-        if not 1 <= horizon <= self.length:
-            raise IndexOutOfRange(f"horizon {horizon} not in 1..{self.length}")
-        members = set(self.indices[:horizon])
-        for fresh in self.fresh_sets[:horizon]:
-            members.update(fresh)
+        self._check(horizon, "horizon")
+        members = self.comparison_set(horizon) | {self.indices[horizon - 1]}
         return tuple(sorted(members))
 
     def to_comparison_plan(self):
         """Materialize every comparison set.  Costs O(sum of |C(n_t)|)."""
         total = sum(c - 1 for c in self.cardinalities)
         if total > 20_000_000:
-            raise MemoryError(
+            raise StateSpaceTooLarge(
                 f"materializing this plan needs {total} set entries; keep it lazy"
             )
         sets = []
@@ -174,6 +173,41 @@ class ValidatedPlan:
         return ComparisonPlan(self.indices, tuple(sets))
 
 
+def _index_violations(t, n, prev, members):
+    """Index rule at position t: n >= 1 exceeds its predecessor prev (None at
+    t = 1), and every comparison index lies in 1..n-1."""
+    violations = []
+    if n < 1:
+        violations.append(Violation(NOT_STRICTLY_INCREASING, t, f"index {n} is below 1"))
+    elif prev is not None and n <= prev:
+        violations.append(
+            Violation(NOT_STRICTLY_INCREASING, t, f"index {n} does not exceed predecessor {prev}")
+        )
+    bad = sorted(e for e in members if not 1 <= e <= n - 1)
+    if bad:
+        violations.append(Violation(SET_OUT_OF_RANGE, t, f"elements {bad} outside 1..{n - 1}"))
+    return violations
+
+
+def _nesting_violations(t, prev, prev_set, cur_set):
+    """Conditions (a1) and (a2) at position t >= 2, against position t-1."""
+    violations = []
+    if not prev_set < cur_set:
+        violations.append(
+            Violation(NOT_NESTED, t, f"C(n_{t}) must strictly contain C(n_{t - 1})")
+        )
+    if prev not in cur_set:
+        violations.append(
+            Violation(MISSING_PREDECESSOR, t, f"previous index {prev} missing from C(n_{t})")
+        )
+    return violations
+
+
+def _fresh(cur_set, prev, prev_set):
+    """C(n_t) minus what (a1) and (a2) imply: C(n_{t-1}) and n_{t-1}."""
+    return tuple(sorted(cur_set - prev_set - {prev}))
+
+
 def validate(plan):
     """Check compatibility; return a ValidatedPlan or a complete ValidationReport.
 
@@ -182,67 +216,21 @@ def validate(plan):
     """
     idx = plan.indices
     sets = plan.comparison_sets
+    prevs = (None, *idx[:-1])
+    prev_sets = (frozenset(), *sets[:-1])
     violations = []
-
-    for t in range(1, len(idx) + 1):
-        n = idx[t - 1]
-        if n < 1:
-            violations.append(
-                Violation(NOT_STRICTLY_INCREASING, t, f"index {n} is below 1")
-            )
-        elif t >= 2 and n <= idx[t - 2]:
-            violations.append(
-                Violation(
-                    NOT_STRICTLY_INCREASING,
-                    t,
-                    f"index {n} does not exceed predecessor {idx[t - 2]}",
-                )
-            )
-        bad = sorted(e for e in sets[t - 1] if not 1 <= e <= n - 1)
-        if bad:
-            violations.append(
-                Violation(
-                    SET_OUT_OF_RANGE,
-                    t,
-                    f"elements {bad} outside 1..{n - 1}",
-                )
-            )
-
+    for t, (n, prev, cur) in enumerate(zip(idx, prevs, sets), start=1):
+        violations += _index_violations(t, n, prev, cur)
     for t in range(2, len(idx) + 1):
-        prev_set, cur_set = sets[t - 2], sets[t - 1]
-        if not prev_set < cur_set:
-            violations.append(
-                Violation(
-                    NOT_NESTED,
-                    t,
-                    f"C(n_{t}) must strictly contain C(n_{t - 1})",
-                )
-            )
-        if idx[t - 2] not in cur_set:
-            violations.append(
-                Violation(
-                    MISSING_PREDECESSOR,
-                    t,
-                    f"previous index {idx[t - 2]} missing from C(n_{t})",
-                )
-            )
-
+        violations += _nesting_violations(t, prevs[t - 1], prev_sets[t - 1], sets[t - 1])
     if violations:
         return ValidationReport(tuple(violations))
 
     cardinalities = tuple(len(s) + 1 for s in sets)
     # strict nesting forces strictly increasing cardinalities
     assert all(a < b for a, b in zip(cardinalities, cardinalities[1:]))
-
-    fresh = []
-    for t in range(1, len(idx) + 1):
-        cur = sets[t - 1]
-        if t == 1:
-            fresh.append(tuple(sorted(cur)))
-        else:
-            implied = sets[t - 2] | {idx[t - 2]}
-            fresh.append(tuple(sorted(cur - implied)))
-    return ValidatedPlan(idx, cardinalities, tuple(fresh))
+    fresh = tuple(map(_fresh, sets, prevs, prev_sets))
+    return ValidatedPlan(idx, cardinalities, fresh)
 
 
 def as_validated(plan):
@@ -318,14 +306,10 @@ def chained_plan(indices):
         raise EmptySelection("need at least one index")
     if indices[0] != 1:
         raise BadFirstIndex(f"chained plans start at index 1, got {indices[0]}")
-    for pos, (a, b) in enumerate(zip(indices, indices[1:]), start=2):
-        if b <= a:
-            raise PlanValidationError(
-                ValidationReport(
-                    (Violation(NOT_STRICTLY_INCREASING, pos,
-                               f"index {b} does not exceed predecessor {a}"),)
-                )
-            )
+    for t, (a, b) in enumerate(zip(indices, indices[1:]), start=2):
+        violations = _index_violations(t, b, a, ())
+        if violations:
+            raise PlanValidationError(ValidationReport(tuple(violations)))
     cardinalities = tuple(range(1, len(indices) + 1))
     fresh = ((),) * len(indices)
     return ValidatedPlan(indices, cardinalities, fresh)
@@ -353,37 +337,14 @@ class PlanBuilder:
         index = int(index)
         comparison_set = frozenset(int(e) for e in comparison_set)
         t = len(self._indices) + 1
-        violations = []
-        if index < 1 or (self._indices and index <= self._indices[-1]):
-            prev = self._indices[-1] if self._indices else 0
-            violations.append(
-                Violation(NOT_STRICTLY_INCREASING, t,
-                          f"index {index} does not exceed predecessor {prev}")
-            )
-        bad = sorted(e for e in comparison_set if not 1 <= e <= index - 1)
-        if bad:
-            violations.append(
-                Violation(SET_OUT_OF_RANGE, t, f"elements {bad} outside 1..{index - 1}")
-            )
-        if self._indices:
-            if not self._last_set < comparison_set:
-                violations.append(
-                    Violation(NOT_NESTED, t,
-                              f"C(n_{t}) must strictly contain C(n_{t - 1})")
-                )
-            if self._indices[-1] not in comparison_set:
-                violations.append(
-                    Violation(MISSING_PREDECESSOR, t,
-                              f"previous index {self._indices[-1]} missing from C(n_{t})")
-                )
+        prev = self._indices[-1] if self._indices else None
+        violations = _index_violations(t, index, prev, comparison_set)
+        if prev is not None:
+            violations += _nesting_violations(t, prev, self._last_set, comparison_set)
         if violations:
             raise PlanValidationError(ValidationReport(tuple(violations)))
 
-        if self._indices:
-            implied = self._last_set | {self._indices[-1]}
-            self._fresh.append(tuple(sorted(comparison_set - implied)))
-        else:
-            self._fresh.append(tuple(sorted(comparison_set)))
+        self._fresh.append(_fresh(comparison_set, prev, self._last_set))
         self._indices.append(index)
         self._cardinalities.append(len(comparison_set) + 1)
         self._last_set = comparison_set

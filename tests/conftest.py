@@ -1,7 +1,20 @@
+import os
+
 import numpy as np
 import pytest
 
 import partial_records as pr
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _subprocesses_import_this_package():
+    """CLI tests start child interpreters; they import the package from where
+    this process did, also when pytest found it through its own pythonpath."""
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", path)
+        yield
 
 
 @pytest.fixture

@@ -78,6 +78,12 @@ def test_exact_invalid_plan_is_exit_2(capsys, bad_plan_file):
     assert main(["exact", "--plan", bad_plan_file, "--positions", "1"]) == 2
 
 
+def test_exact_oversized_plan_is_exit_2(capsys, monkeypatch, total6_file):
+    monkeypatch.setattr(pr.plan, "load_plan_file", lambda path: pr.total_comparison_plan(7000))
+    assert main(["exact", "--plan", total6_file, "--positions", "1"]) == 2
+    assert "keep it lazy" in capsys.readouterr().err
+
+
 def test_exact_unknown_density_is_exit_2(capsys, total6_file):
     code = main(
         ["exact", "--plan", total6_file, "--positions", "2", "--x", "0.5", "--density", "nope"]

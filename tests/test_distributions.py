@@ -1,5 +1,6 @@
 """Built-in density families, the tabulated constructor, and sampling."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,6 +16,27 @@ ALL_BUILTINS = ("uniform01", "power(2)", "power(3)", "smoothstep", "triangular",
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_every_builtin_satisfies_the_density_contract(name):
     pr.verify_density(pr.builtin(name))
+
+
+def test_verify_density_accepts_a_cusp_at_zero():
+    # f(x) = 1.5 sqrt(x) has an unbounded derivative at 0
+    pr.verify_density(pr.builtin("power(3/2)"))
+
+
+def test_verify_density_rejects_a_pdf_integrating_to_two():
+    u = pr.uniform01()
+    doubled = dataclasses.replace(
+        u, name="doubled", pdf=lambda x: 2.0 * np.asarray(u.pdf(x)),
+        pdf_fraction=None, cdf_fraction=None,
+    )
+    with pytest.raises(ValueError, match="integrates to"):
+        pr.verify_density(doubled)
+
+
+@pytest.mark.parametrize("hook", ["pdf_fraction", "cdf_fraction"])
+def test_fraction_hooks_come_in_pairs(hook):
+    with pytest.raises(pr.BadParams):
+        dataclasses.replace(pr.uniform01(), **{hook: None})
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)

@@ -130,6 +130,20 @@ def test_plan_builder_rejects_bad_element_immediately():
         builder.append(4, {1, 3})  # drops required predecessor 2
 
 
+def test_plan_builder_reports_like_validate():
+    raw = pr.ComparisonPlan((2, 0), (frozenset({1}), frozenset({1, 3})))
+    report = pr.validate(raw)
+    with pytest.raises(pr.PlanValidationError) as info:
+        pr.PlanBuilder().append(2, {1}).append(0, {1, 3})
+    assert info.value.report == report
+    assert report.kinds() == (NOT_STRICTLY_INCREASING, SET_OUT_OF_RANGE, MISSING_PREDECESSOR)
+
+
+def test_materializing_an_oversized_plan_raises_state_space_too_large():
+    with pytest.raises(pr.StateSpaceTooLarge):
+        pr.plan_hash(pr.total_comparison_plan(7000))
+
+
 def test_random_compatible_plans_always_validate(rng):
     for _ in range(300):
         raw = pr.random_compatible_plan(rng, max_index=8)
