@@ -41,7 +41,8 @@ BUILTIN_FAMILIES = (
 class DensitySpec:
     """A continuous density on [0, support_upper] (inf for unbounded tails).
 
-    pdf/cdf/inverse_cdf accept floats or numpy arrays.  pdf_fraction and
+    pdf/cdf/inverse_cdf accept floats or numpy arrays; inverse_cdf must be
+    non-decreasing, because simulation compares uniforms.  pdf_fraction and
     cdf_fraction map a Fraction in [0, M] to an exact Fraction value; they
     come in pairs (both or neither), and with them the discrete layer stays
     in rational arithmetic.

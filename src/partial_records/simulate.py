@@ -1,13 +1,23 @@
 """Monte Carlo estimation of record events with replayable keyed streams.
 
-Determinism policy: the value at sequence index i in replication k comes
-from a Philox stream keyed by (master_seed, i), element k.  A run streams
-the plan positions in order, generating each needed column of n draws in
-full; nested comparison sets mean a single running maximum per replication
-suffices, and the previous candidate column is reused as the predecessor
-comparison.  All tallies are exact integers, so results are bit-identical
-regardless of thread count or memory layout, and any single draw can be
-regenerated after the fact for auditing.
+Determinism policy: the value at sequence index i in replication k is
+inverse_cdf(u), where u is element k of the Philox stream keyed by
+(master_seed, i), counter 0.  A run streams the plan positions in order with
+one Philox generator, re-keyed for each column; nested comparison sets mean a
+single running maximum per replication suffices, and the previous candidate
+column is reused as the predecessor comparison.  All tallies are exact
+integers, so results are bit-identical regardless of thread count or memory
+layout, and any single draw can be regenerated after the fact for auditing.
+
+Rank domain: inverse_cdf must be non-decreasing, so the maximum of the values
+is the transform of the maximum uniform, and a value can exceed it only if its
+uniform does.  The running maximum and the candidates therefore stay uniforms,
+and inverse_cdf is applied only to the hits (candidates whose uniform exceeds
+the running maximum) and to the running maximum at those hits.  A hit is a
+record when its value exceeds the maximum's value.  tie_count counts the
+candidates whose uniform equals the running maximum plus the hits whose value
+equals it (a non-injective inverse); equal values at a smaller uniform never
+change an indicator and are not counted.
 
 Guarantees exposed for gating: per-position frequencies against 1/c(n_t),
 joint frequencies against the rational product, count mean/variance against
@@ -28,14 +38,42 @@ from .plan import as_validated, check_positions
 from . import exact as _exact
 
 
+class _KeyedStreams:
+    """One Philox generator, re-keyed to the stream of each sequence index.
+
+    Re-keying assigns the state of a freshly keyed Philox (key (master_seed,
+    time_index), counter 0, empty buffer), so every draw equals that of
+    Philox(key=[master_seed, time_index]) without building one per column.
+    """
+
+    def __init__(self, master_seed):
+        self._bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+        self._generator = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state
+        self._key = self._state["state"]["key"]
+
+    def uniforms(self, time_index, count=None, out=None):
+        """The first `count` uniforms of one stream (or fill `out`)."""
+        self._key[1] = time_index
+        self._bitgen.state = self._state
+        return self._generator.random(count, out=out)
+
+    def uniform_at(self, time_index, k):
+        """Element k of one stream.  Philox4x64 yields four doubles per
+        counter step, so the stream jumps k // 4 steps and draws the rest."""
+        self._key[1] = time_index
+        self._bitgen.state = self._state
+        self._bitgen.advance(k // 4)
+        return self._generator.random(k % 4 + 1)[-1]
+
+
 def column(master_seed, time_index, count, density):
     """The first `count` replication values at one sequence index.
 
     Keyed Philox stream, always generated from position 0 so that any
     prefix of a longer run reproduces exactly.
     """
-    bitgen = np.random.Philox(key=np.array([master_seed, time_index], dtype=np.uint64))
-    u = np.random.Generator(bitgen).random(int(count))
+    u = _KeyedStreams(master_seed).uniforms(time_index, int(count))
     return np.asarray(density.inverse_cdf(u), dtype=float)
 
 
@@ -96,6 +134,14 @@ class CheckpointStat:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Exact integer tallies of one run.
+
+    tie_count counts, summed over positions, the candidates whose uniform
+    equals the running maximum's uniform and the candidates whose uniform
+    exceeds it but whose value equals the maximum's value.  Neither is a
+    record.  It is 0 unless inverse_cdf is non-injective or a uniform repeats.
+    """
+
     config: SimConfig
     n: int
     horizon: int
@@ -148,65 +194,85 @@ class RunResult:
         return self.record_values[r]
 
 
+class _Tally:
+    """Exact per-replication record tallies, updated from each position's hits."""
+
+    def __init__(self, n, r_max, inverse):
+        self.inverse = inverse
+        self.counts = np.zeros(n, dtype=np.int32)
+        self.times = np.zeros((r_max, n), dtype=np.int32)
+        self.values = np.full((r_max, n), np.nan)
+        self.event_counts = []
+        self.ties = self.count_sum = self.count_sq_sum = 0
+
+    def position(self, t, candidate, running_max, compared):
+        """Tally position t and return its record replications.
+
+        `candidate` and `running_max` are uniforms; `compared` says whether
+        the comparison set is non-empty.  Only the hits are transformed.
+        """
+        hits = np.flatnonzero(candidate > running_max)
+        self.ties += int(np.count_nonzero(candidate == running_max))
+        if hits.size:
+            hit_values = np.asarray(self.inverse(candidate[hits]), dtype=float)
+            if compared:
+                max_values = np.asarray(self.inverse(running_max[hits]), dtype=float)
+                self.ties += int(np.count_nonzero(hit_values == max_values))
+                record = hit_values > max_values
+                hits, hit_values = hits[record], hit_values[record]
+            rank = self.counts[hits] + 1
+            self.counts[hits] = rank
+            self.count_sum += hits.size
+            self.count_sq_sum += 2 * int(rank.sum(dtype=np.int64)) - hits.size
+            tracked = rank <= len(self.times)
+            if tracked.all():  # early positions, where hits are many: no copies
+                rows, cols, vals = rank - 1, hits, hit_values
+            else:
+                rows, cols, vals = rank[tracked] - 1, hits[tracked], hit_values[tracked]
+            self.times[rows, cols] = t
+            self.values[rows, cols] = vals
+        self.event_counts.append(hits.size)
+        return hits
+
+
 def run(config):
     """Execute the full pass over plan positions.  See module docstring."""
     vplan, horizon, n, joint, r_max, checkpoints = config.resolved()
-    seed = int(config.master_seed)
-    density = config.density
+    streams = _KeyedStreams(int(config.master_seed))
+    tally = _Tally(n, r_max, config.density.inverse_cdf)
     checkpoint_set = set(checkpoints)
-
-    running_max = np.full(n, -np.inf)
-    counts_per_rep = np.zeros(n, dtype=np.int32)
-    event_counts = []
-    joint_mask = np.ones(n, dtype=bool) if joint else None
-    times = {r: np.zeros(n, dtype=np.int32) for r in range(1, r_max + 1)}
-    values = {r: np.full(n, np.nan) for r in range(1, r_max + 1)}
+    joint_set = set(joint)
+    running_max = np.full(n, -np.inf)  # uniforms, like the candidates
+    candidate, previous = np.empty(n), np.empty(n)
+    joint_hits = None
     stats = []
-    ties = 0
-    prev_candidate = None
 
-    for t in range(1, horizon + 1):
-        for idx in vplan.fresh_sets[t - 1]:
-            np.maximum(running_max, column(seed, idx, n, density), out=running_max)
-        if prev_candidate is not None:
-            np.maximum(running_max, prev_candidate, out=running_max)
-        candidate = column(seed, vplan.index(t), n, density)
-        ties += int(np.count_nonzero(candidate == running_max))
-        indicator = candidate > running_max
-        event_counts.append(int(np.count_nonzero(indicator)))
-        counts_per_rep += indicator
-        if joint_mask is not None and t in joint:
-            joint_mask &= indicator
-        for r in range(1, r_max + 1):
-            hit = indicator & (counts_per_rep == r)
-            if hit.any():
-                times[r][hit] = t
-                values[r][hit] = candidate[hit]
+    positions = zip(vplan.indices[:horizon], vplan.cardinalities, vplan.fresh_sets)
+    for t, (time_index, cardinality, fresh_set) in enumerate(positions, start=1):
+        for idx in fresh_set:
+            np.maximum(running_max, streams.uniforms(idx, n), out=running_max)
+        if t > 1:
+            np.maximum(running_max, previous, out=running_max)
+        streams.uniforms(time_index, out=candidate)
+        hits = tally.position(t, candidate, running_max, cardinality > 1)
+        if t in joint_set:
+            joint_hits = hits if joint_hits is None else np.intersect1d(joint_hits, hits)
         if t in checkpoint_set:
-            stats.append(
-                CheckpointStat(
-                    position=t,
-                    time_index=vplan.index(t),
-                    count_sum=int(counts_per_rep.sum(dtype=np.int64)),
-                    count_sq_sum=int(
-                        np.sum(counts_per_rep.astype(np.int64) ** 2)
-                    ),
-                )
-            )
-        prev_candidate = candidate
+            stats.append(CheckpointStat(t, time_index, tally.count_sum, tally.count_sq_sum))
+        candidate, previous = previous, candidate
 
     return RunResult(
         config=config,
         n=n,
         horizon=horizon,
-        event_counts=tuple(event_counts),
-        joint_count=int(np.count_nonzero(joint_mask)) if joint_mask is not None else None,
-        count_sum=int(counts_per_rep.sum(dtype=np.int64)),
-        count_sq_sum=int(np.sum(counts_per_rep.astype(np.int64) ** 2)),
-        tie_count=ties,
+        event_counts=tuple(tally.event_counts),
+        joint_count=None if joint_hits is None else joint_hits.size,
+        count_sum=tally.count_sum,
+        count_sq_sum=tally.count_sq_sum,
+        tie_count=tally.ties,
         checkpoint_stats=tuple(stats),
-        record_times=times,
-        record_values=values,
+        record_times={r: tally.times[r - 1] for r in range(1, r_max + 1)},
+        record_values={r: tally.values[r - 1] for r in range(1, r_max + 1)},
     )
 
 
@@ -295,19 +361,19 @@ class Replay:
 
 
 def replay(config, replication):
-    """Recompute replication k of a run column by column.
+    """Recompute replication k of a run from its keyed draws.
 
-    Used to audit batch results: regenerates each keyed column up to k+1
-    elements and takes the last, so it matches the batch pass exactly.
+    Used to audit batch results: jumps each keyed stream to element k and
+    compares in the value domain, so it checks the batch pass independently.
     """
     vplan, horizon, n, _joint, _r_max, _checkpoints = config.resolved()
     k = int(replication)
     if not 0 <= k < n:
         raise IndexOutOfRange(f"replication {k} not in 0..{n - 1}")
-    seed = int(config.master_seed)
-    draws = {}
-    for idx in vplan.drawn_indices(horizon):
-        draws[idx] = float(column(seed, idx, k + 1, config.density)[k])
+    streams = _KeyedStreams(int(config.master_seed))
+    indices = vplan.drawn_indices(horizon)
+    u = np.array([streams.uniform_at(idx, k) for idx in indices])
+    draws = dict(zip(indices, np.asarray(config.density.inverse_cdf(u), dtype=float).tolist()))
     indicators = []
     for t in range(1, horizon + 1):
         cand = draws[vplan.index(t)]

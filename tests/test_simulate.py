@@ -1,5 +1,6 @@
 """Simulation engine: determinism, replay, and statistical agreement."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,6 +12,100 @@ import partial_records as pr
 
 def _config(plan, density, n, seed, **kw):
     return pr.SimConfig(plan=plan, density=density, replications=n, master_seed=seed, **kw)
+
+
+def _two_point():
+    # rounds every uniform to 0 or 1: a non-injective inverse with exact ties
+    return pr.DensitySpec(
+        name="two-point",
+        support_upper=1.0,
+        pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        cdf=lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0),
+        inverse_cdf=lambda u: np.round(np.asarray(u, dtype=float)),
+    )
+
+
+def _value_domain_run(config):
+    """Reference engine: transform whole columns, compare values, scan ranks."""
+    vplan, horizon, n, joint, r_max, checkpoints = config.resolved()
+    seed, density = config.master_seed, config.density
+    running_max, counts = np.full(n, -np.inf), np.zeros(n, dtype=np.int64)
+    joint_mask = np.ones(n, dtype=bool)
+    times = {r: np.zeros(n, dtype=np.int32) for r in range(1, r_max + 1)}
+    values = {r: np.full(n, np.nan) for r in range(1, r_max + 1)}
+    event_counts, stats, ties, candidate = [], [], 0, None
+    for t in range(1, horizon + 1):
+        for idx in vplan.fresh_sets[t - 1]:
+            np.maximum(running_max, pr.column(seed, idx, n, density), out=running_max)
+        if candidate is not None:
+            np.maximum(running_max, candidate, out=running_max)
+        candidate = pr.column(seed, vplan.index(t), n, density)
+        ties += int(np.count_nonzero(candidate == running_max))
+        indicator = candidate > running_max
+        event_counts.append(int(np.count_nonzero(indicator)))
+        counts += indicator
+        if t in joint:
+            joint_mask &= indicator
+        for r in times:
+            hit = indicator & (counts == r)
+            times[r][hit] = t
+            values[r][hit] = candidate[hit]
+        if t in checkpoints:
+            stats.append((t, vplan.index(t), int(counts.sum()), int((counts**2).sum())))
+    return dict(event_counts=tuple(event_counts), joint_count=int(np.count_nonzero(joint_mask)),
+                count_sum=int(counts.sum()), count_sq_sum=int((counts**2).sum()), ties=ties,
+                stats=stats, times=times, values=values)
+
+
+@pytest.mark.parametrize("plan_name", ["total5", "partial_plan", "chained"])
+@pytest.mark.parametrize(
+    "density",
+    [pr.smoothstep_density(), pr.power_density(2), pr.triangular_density(), _two_point()],
+    ids=lambda d: d.name,
+)
+def test_rank_domain_run_equals_value_domain_reference(request, plan_name, density):
+    plan = pr.chained_plan([1, 3, 5, 9]) if plan_name == "chained" else request.getfixturevalue(plan_name)
+    cfg = _config(plan, density, 20_000, 41, joint_positions=(1, 2, 3), r_max=2, checkpoints=(1, 3))
+    result, ref = pr.run(cfg), _value_domain_run(cfg)
+    assert result.event_counts == ref["event_counts"]
+    assert result.joint_count == ref["joint_count"]
+    assert (result.count_sum, result.count_sq_sum) == (ref["count_sum"], ref["count_sq_sum"])
+    assert [dataclasses.astuple(s) for s in result.checkpoint_stats] == ref["stats"]
+    for r in (1, 2):
+        assert result.times_of_record(r).tobytes() == ref["times"][r].tobytes()
+        assert result.values_of_record(r).tobytes() == ref["values"][r].tobytes()
+    assert result.tie_count <= ref["ties"]
+
+
+def test_run_transforms_only_record_hits():
+    smooth = pr.smoothstep_density()
+    transformed = []
+
+    def counting_inverse(u):
+        transformed.append(np.size(u))
+        return smooth.inverse_cdf(u)
+
+    density = dataclasses.replace(smooth, inverse_cdf=counting_inverse)
+    result = pr.run(_config(pr.total_comparison_plan(100), density, 20_000, 8, r_max=2))
+    # n * horizon = 2e6 values would pass through a value-domain engine
+    assert sum(transformed) <= 2 * sum(result.event_counts)
+
+
+def test_column_matches_a_freshly_keyed_philox_in_any_order():
+    u = pr.uniform01()
+    for order in ([4, 1, 9], [9, 4, 4, 1], [1, 9, 1, 4, 9]):
+        for idx in order:
+            bitgen = np.random.Philox(key=np.array([7, idx], dtype=np.uint64))
+            fresh = np.random.Generator(bitgen).random(100)
+            assert pr.column(7, idx, 100, u).tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 17, 123_457])
+def test_replay_jumps_to_replication_k(partial_plan, k):
+    s = pr.smoothstep_density()
+    rep = pr.replay(_config(partial_plan, s, k + 1, 3), k)
+    for idx, value in rep.draws.items():
+        assert value == pr.column(3, idx, k + 1, s)[k]
 
 
 def test_columns_are_prefix_stable():
