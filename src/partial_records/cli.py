@@ -513,7 +513,15 @@ def build_parser():
 
     p = sub.add_parser("oracle-check", help="product formula vs exhaustive enumeration")
     p.add_argument("--plan", required=True)
-    p.add_argument("--max-index", type=int, default=8, dest="max_index")
+    p.add_argument(
+        "--max-index",
+        type=int,
+        default=8,
+        dest="max_index",
+        help="cap on the number of relevant indices (default %(default)s, hard "
+        f"limit {_oracle._PERM_LIMIT}); k relevant indices means enumerating all "
+        "k! orderings",
+    )
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

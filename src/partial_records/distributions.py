@@ -307,6 +307,8 @@ def _bisect_inverse(cdf, upper):
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
+        if u.size == 0:
+            return u
         lo = np.zeros_like(u)
         hi = np.full_like(u, upper)
         for _ in range(80):

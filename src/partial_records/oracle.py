@@ -21,7 +21,6 @@ check:
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -41,15 +40,30 @@ _PERM_LIMIT = 10
 
 
 def _perm_table(k):
-    """All orderings of k items as a (k!, k) array of ranks."""
+    """All orderings of k items as a (k!, k) array of ranks.
+
+    Rows follow the lexicographic order of itertools.permutations.  The
+    orderings of n items are, for each first item in turn, that item followed
+    by the orderings of n - 1 items relabelled onto the remaining ones; the
+    table is built that way, transposed, and returned as a column-major view
+    so that each item's column is contiguous.
+    """
     if k > _PERM_LIMIT:
         raise TooManyIndices(
             f"{k} relevant indices implies {k}! orderings; limit is {_PERM_LIMIT}"
         )
     if k not in _PERM_CACHE:
-        _PERM_CACHE[k] = np.array(
-            list(itertools.permutations(range(k))), dtype=np.int8
-        )
+        table = np.empty((0, 1), dtype=np.int8)  # the one ordering of no items
+        for n in range(1, k + 1):
+            block = table.shape[1]
+            items = np.arange(n, dtype=np.int8)
+            grown = np.empty((n, n * block), dtype=np.int8)
+            for first in range(n):
+                cols = slice(first * block, (first + 1) * block)
+                grown[0, cols] = first
+                grown[1:, cols] = np.delete(items, first)[table]
+            table = grown
+        _PERM_CACHE[k] = table.T
     return _PERM_CACHE[k]
 
 
@@ -126,10 +140,11 @@ def exact_joint_table(plan, positions=None, max_indices=_PERM_LIMIT):
     perms = _perm_table(len(rel))
     masks = _event_masks(vplan, positions, rel, perms)
 
+    # bits <= len(rel) <= _PERM_LIMIT, so every code fits in 16 bits
     bits = len(positions)
-    code = np.zeros(perms.shape[0], dtype=np.int64)
+    code = np.zeros(perms.shape[0], dtype=np.uint16)
     for b, mask in enumerate(masks):
-        code |= mask.astype(np.int64) << b
+        code |= mask.astype(np.uint16) << b
     counts = np.bincount(code, minlength=1 << bits).astype(np.int64)
     for b in range(bits):
         bit = 1 << b

@@ -131,6 +131,12 @@ def test_tabulated_density_reproduces_smoothstep():
     assert float(np.max(np.abs(np.asarray(tab.cdf(tab.inverse_cdf(us))) - us))) < 1e-8
 
 
+def test_tabulated_inverse_accepts_empty_input():
+    tab = pr.tabulated_density(np.linspace(0, 1, 51), np.ones(51))
+    x = tab.inverse_cdf(np.empty(0))
+    assert x.shape == (0,) and x.dtype == float
+
+
 def test_tabulated_rejects_bad_grids():
     with pytest.raises(pr.BadParams):
         pr.tabulated_density([0.5, 1.0, 1.5], [1, 1, 1])  # must start at 0

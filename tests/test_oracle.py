@@ -1,11 +1,13 @@
 """The verification oracles themselves, pinned on hand-checkable cases."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import partial_records as pr
+from partial_records.oracle import _perm_table
 
 
 def test_permutation_oracle_trivial_cases(total5):
@@ -44,6 +46,37 @@ def test_relevant_indices_and_size_guard():
     assert pr.relevant_indices(plan, (3,)) == (1, 2, 3)
     with pytest.raises(pr.TooManyIndices):
         pr.exact_joint(plan, (12,))  # 12 relevant indices > default cap
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_perm_table_matches_itertools_order(k):
+    want = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+    got = _perm_table(k)
+    assert got.dtype == np.int8
+    np.testing.assert_array_equal(got, want)
+
+
+def test_perm_table_edges():
+    assert _perm_table(0).shape == (1, 0)
+    with pytest.raises(pr.TooManyIndices):
+        _perm_table(11)
+
+
+def test_permutation_oracle_at_the_index_cap():
+    plan = pr.total_comparison_plan(10)
+    table = pr.exact_joint_table(plan, max_indices=10)
+    assert len(table) == 1023
+    for subset, prob in table.items():
+        assert prob == pr.joint_record_prob(plan, subset)
+    negated = (2, 5, 9)
+    q = pr.EventQuery(
+        tuple(pr.EventTerm(t, negated=t in negated) for t in (2, 3, 5, 7, 9, 10))
+    )
+    want = Fraction(1)
+    for term in q.terms:
+        p = Fraction(1, term.position)
+        want *= 1 - p if term.negated else p
+    assert pr.exact_joint(plan, q) == want
 
 
 def test_quadrature_recovers_base_closed_form(total5):
