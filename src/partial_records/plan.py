@@ -88,8 +88,8 @@ class ComparisonPlan:
     comparison_sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        idx = tuple(int(n) for n in self.indices)
-        sets = tuple(frozenset(int(e) for e in s) for s in self.comparison_sets)
+        idx = tuple(map(int, self.indices))
+        sets = tuple(map(_int_set, self.comparison_sets))
         if len(idx) != len(sets):
             raise ValueError(
                 f"{len(idx)} indices but {len(sets)} comparison sets"
@@ -156,21 +156,47 @@ class ValidatedPlan:
 
     def to_comparison_plan(self):
         """Materialize every comparison set.  Costs O(sum of |C(n_t)|)."""
-        total = sum(c - 1 for c in self.cardinalities)
-        if total > 20_000_000:
-            raise StateSpaceTooLarge(
-                f"materializing this plan needs {total} set entries; keep it lazy"
-            )
-        sets = []
-        members = set()
-        prev = None
-        for n, fresh in zip(self.indices, self.fresh_sets):
-            if prev is not None:
-                members.add(prev)
-            members.update(fresh)
-            sets.append(frozenset(members))
-            prev = n
-        return ComparisonPlan(self.indices, tuple(sets))
+        sets = tuple(frozenset(members) for members, _ in _sorted_sets(self))
+        return ComparisonPlan(self.indices, sets)
+
+
+def _int_set(s):
+    """s as a frozenset of exact ints; one that already is one is kept as-is."""
+    if type(s) is frozenset and set(map(type, s)) <= {int}:
+        return s
+    return frozenset(map(int, s))
+
+
+def _sorted_sets(plan):
+    """Yield (members, grown) for each position t of a plan.
+
+    members is C(n_t) as a sorted list; for a ValidatedPlan it is one list
+    grown in place, so a caller that keeps it must copy it.  grown is the
+    number of members appended at its end since C(n_{t-1}) when every new
+    member exceeds the old maximum (always so for total and chained plans),
+    or None when the members had to be merged and re-sorted.  A ValidatedPlan
+    needing more than 20M set entries raises StateSpaceTooLarge.
+    """
+    if isinstance(plan, ComparisonPlan):
+        for s in plan.comparison_sets:
+            yield sorted(s), None
+        return
+    total = sum(plan.cardinalities) - plan.length
+    if total > 20_000_000:
+        raise StateSpaceTooLarge(
+            f"materializing this plan needs {total} set entries; keep it lazy"
+        )
+    members = []
+    prev = ()
+    for n, fresh in zip(plan.indices, plan.fresh_sets):
+        new = sorted({*prev, *fresh})
+        if not members or not new or new[0] > members[-1]:
+            members += new
+            yield members, len(new)
+        else:
+            members = sorted(set(members).union(new))
+            yield members, None
+        prev = (n,)
 
 
 def _index_violations(t, n, prev, members):
@@ -203,9 +229,10 @@ def _nesting_violations(t, prev, prev_set, cur_set):
     return violations
 
 
-def _fresh(cur_set, prev, prev_set):
-    """C(n_t) minus what (a1) and (a2) imply: C(n_{t-1}) and n_{t-1}."""
-    return tuple(sorted(cur_set - prev_set - {prev}))
+def _fresh(new, prev):
+    """C(n_t) minus what (a1) and (a2) imply, from new = C(n_t) - C(n_{t-1}):
+    drop n_{t-1}."""
+    return tuple(sorted(new - {prev}))
 
 
 def validate(plan):
@@ -218,9 +245,16 @@ def validate(plan):
     sets = plan.comparison_sets
     prevs = (None, *idx[:-1])
     prev_sets = (frozenset(), *sets[:-1])
+    news = tuple(map(frozenset.difference, sets, prev_sets))
     violations = []
-    for t, (n, prev, cur) in enumerate(zip(idx, prevs, sets), start=1):
-        violations += _index_violations(t, n, prev, cur)
+    prev_in_range = True
+    for t, (n, prev, cur, new) in enumerate(zip(idx, prevs, sets, news), start=1):
+        # members of C(n_{t-1}) lie in 1..n_{t-1}-1, inside 1..n_t-1 when the
+        # index grew, so only the new members need the range check
+        grew = prev is None or n > prev
+        found = _index_violations(t, n, prev, new if prev_in_range and grew else cur)
+        prev_in_range = SET_OUT_OF_RANGE not in (v.kind for v in found)
+        violations += found
     for t in range(2, len(idx) + 1):
         violations += _nesting_violations(t, prevs[t - 1], prev_sets[t - 1], sets[t - 1])
     if violations:
@@ -229,7 +263,7 @@ def validate(plan):
     cardinalities = tuple(len(s) + 1 for s in sets)
     # strict nesting forces strictly increasing cardinalities
     assert all(a < b for a, b in zip(cardinalities, cardinalities[1:]))
-    fresh = tuple(map(_fresh, sets, prevs, prev_sets))
+    fresh = tuple(map(_fresh, news, prevs))
     return ValidatedPlan(idx, cardinalities, fresh)
 
 
@@ -344,7 +378,7 @@ class PlanBuilder:
         if violations:
             raise PlanValidationError(ValidationReport(tuple(violations)))
 
-        self._fresh.append(_fresh(comparison_set, prev, self._last_set))
+        self._fresh.append(_fresh(comparison_set - self._last_set, prev))
         self._indices.append(index)
         self._cardinalities.append(len(comparison_set) + 1)
         self._last_set = comparison_set
@@ -436,12 +470,29 @@ class EventQuery:
 # ---------------------------------------------------------------------------
 # JSON plan files: {"indices": [...], "comparison_sets": [[...], ...]}
 
+def _canonical_chunks(plan, item_sep, key_sep):
+    """Stream the canonical JSON text of a plan: keys sorted, each set sorted.
+
+    The chunks join to json.dumps(plan_to_json_dict(plan), sort_keys=True,
+    separators=(item_sep, key_sep)).  A set that only grew at its end reuses
+    the previous set's text, so the cost is O(output bytes).
+    """
+    yield '{"comparison_sets"' + key_sep + "["
+    text = ""
+    for t, (members, grown) in enumerate(_sorted_sets(plan)):
+        if grown is None or not text:
+            text = item_sep.join(map(str, members))
+        elif grown:
+            text += item_sep + item_sep.join(map(str, members[-grown:]))
+        yield (item_sep if t else "") + "[" + text + "]"
+    yield "]" + item_sep + '"indices"' + key_sep + "["
+    yield item_sep.join(map(str, plan.indices)) + "]}"
+
+
 def plan_to_json_dict(plan):
-    if isinstance(plan, ValidatedPlan):
-        plan = plan.to_comparison_plan()
     return {
         "indices": list(plan.indices),
-        "comparison_sets": [sorted(s) for s in plan.comparison_sets],
+        "comparison_sets": [list(members) for members, _ in _sorted_sets(plan)],
     }
 
 
@@ -453,21 +504,19 @@ def plan_from_json_dict(obj):
         raise ValueError(f"plan object missing keys: {sorted(missing)}")
     indices = obj["indices"]
     sets = obj["comparison_sets"]
-    if not isinstance(indices, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) for n in indices
-    ):
+    # type(True) is bool, so exact-type checks reject booleans as integers
+    if not isinstance(indices, list) or not set(map(type, indices)) <= {int}:
         raise ValueError("indices must be a list of integers")
     if not isinstance(sets, list):
         raise ValueError("comparison_sets must be a list of lists")
     parsed = []
     for k, s in enumerate(sets):
-        if not isinstance(s, list) or not all(
-            isinstance(e, int) and not isinstance(e, bool) for e in s
-        ):
+        if not isinstance(s, list) or not set(map(type, s)) <= {int}:
             raise ValueError(f"comparison_sets[{k}] must be a list of integers")
-        if len(set(s)) != len(s):
+        members = frozenset(s)
+        if len(members) != len(s):
             raise ValueError(f"comparison_sets[{k}] has duplicate entries")
-        parsed.append(frozenset(s))
+        parsed.append(members)
     return ComparisonPlan(tuple(indices), tuple(parsed))
 
 
@@ -481,12 +530,15 @@ def load_plan_file(path):
 
 
 def save_plan_file(plan, path):
+    """Write the canonical JSON form with ", " and ": " separators."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan_to_json_dict(plan), fh, sort_keys=True)
+        fh.writelines(_canonical_chunks(plan, ", ", ": "))
         fh.write("\n")
 
 
 def plan_hash(plan):
-    """Stable content hash of the canonical JSON form."""
-    canon = json.dumps(plan_to_json_dict(plan), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    """SHA-256 of the compact canonical JSON form (separators "," and ":")."""
+    digest = hashlib.sha256()
+    for chunk in _canonical_chunks(plan, ",", ":"):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()

@@ -1,5 +1,6 @@
 """Plan construction, validation, and the lazy representation."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -195,3 +196,82 @@ def test_json_rejects_malformed_input(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValueError):
         pr.load_plan_file(bad)
+
+
+def _reference_json(plan, **dumps_kwargs):
+    """The canonical form built the plain way, from materialized sets."""
+    if isinstance(plan, pr.ValidatedPlan):
+        sets = [plan.comparison_set(t) for t in range(1, plan.length + 1)]
+        assert plan.to_comparison_plan().comparison_sets == tuple(sets)
+    else:
+        sets = plan.comparison_sets
+    obj = {"indices": list(plan.indices), "comparison_sets": [sorted(s) for s in sets]}
+    return json.dumps(obj, sort_keys=True, **dumps_kwargs)
+
+
+def test_streamed_file_and_hash_match_json_dumps(tmp_path, rng):
+    plans = [pr.total_comparison_plan(j) for j in range(1, 61)]
+    plans.append(pr.chained_plan([1, 3, 5, 9]))
+    interleaved = 0
+    for _ in range(200):
+        raw = pr.random_compatible_plan(rng, max_index=14)
+        vplan = pr.validate(raw)
+        plans += [raw, vplan]
+        # a fresh member below n_{t-1} lands inside C(n_t), not at its end
+        interleaved += any(
+            f and min(f) < prev for prev, f in zip(vplan.indices, vplan.fresh_sets[1:])
+        )
+    assert interleaved >= 50
+    path = tmp_path / "plan.json"
+    for plan in plans:
+        pr.save_plan_file(plan, path)
+        assert path.read_text(encoding="utf-8") == _reference_json(plan) + "\n"
+        compact = _reference_json(plan, separators=(",", ":"))
+        assert pr.plan_hash(plan) == hashlib.sha256(compact.encode("utf-8")).hexdigest()
+        assert pr.plan_to_json_dict(plan) == json.loads(compact)
+
+
+def test_plan_hash_digests_are_pinned():
+    # every CLI output carries this digest as plan_hash
+    assert pr.plan_hash(pr.total_comparison_plan(1500)) == (
+        "8a55bce36f9b7aa06f3c48721fde17a6e91413ab7d23d1cf0fc9cd7df4733e87"
+    )
+    assert pr.plan_hash(pr.chained_plan([1, 3, 5, 9])) == (
+        "63f572338fbbd256707d3a0ca006df21eb0635dce8df8d73db83e5af69f715e1"
+    )
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"indices": [True], "comparison_sets": [[]]},
+        {"indices": [2.0], "comparison_sets": [[]]},
+        {"indices": [2], "comparison_sets": [[True]]},
+        {"indices": [2], "comparison_sets": [[[1]]]},
+        {"indices": [2], "comparison_sets": [["1"]]},
+    ],
+)
+def test_json_rejects_non_integer_entries_with_value_error(obj):
+    with pytest.raises(ValueError, match="must be a list of integers"):
+        pr.plan_from_json_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "indices, sets, expected",
+    [
+        ((5,), [{0, 1, 7}], "[SetOutOfRange] position 1: elements [0, 7] outside 1..4"),
+        ((3, 5), [{1, 2}, {0, 1, 2, 3, 7}],
+         "[SetOutOfRange] position 2: elements [0, 7] outside 1..4"),
+        # an out-of-range member carried over from C(n_{t-1}) is reported again
+        ((3, 5), [{1, 2, 9}, {1, 2, 3, 9}],
+         "[SetOutOfRange] position 1: elements [9] outside 1..2\n"
+         "[SetOutOfRange] position 2: elements [9] outside 1..4"),
+        # a shrinking index re-checks the carried members against its smaller range
+        ((5, 3), [{1, 4}, {1, 4, 5}],
+         "[NotStrictlyIncreasingIndices] position 2: index 3 does not exceed predecessor 5\n"
+         "[SetOutOfRange] position 2: elements [4, 5] outside 1..2"),
+    ],
+)
+def test_validate_reports_every_out_of_range_element(indices, sets, expected):
+    report = pr.validate(pr.ComparisonPlan(indices, tuple(map(frozenset, sets))))
+    assert str(report) == expected
