@@ -37,7 +37,6 @@ from .plan import (
     as_validated,
     chained_plan,
     check_positions,
-    cumulative_intensity,
     load_plan_file,
     plan_from_json_dict,
     plan_hash,
@@ -68,6 +67,7 @@ from .exact import (
     RecordCountStats,
     RecordTimePmf,
     asymptotic_gap_to_log,
+    cumulative_intensity,
     harmonic_number,
     joint_record_prob,
     joint_record_prob_bounded,

@@ -89,7 +89,7 @@ def cmd_validate(args):
     for t in range(1, result.length + 1):
         c = result.cardinality(t)
         print(f"{t},{result.index(t)},{c},1/{c}")
-    intensity = _plan.cumulative_intensity(result, result.max_index)
+    intensity = _exact.cumulative_intensity(result, result.max_index)
     print(
         f"VALID positions={result.length} "
         f"intensity={intensity.numerator}/{intensity.denominator} "

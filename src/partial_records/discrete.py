@@ -267,11 +267,7 @@ def profile_vs_continuous(plan, positions, model, density):
 
     out = {}
     for convention in _exact.EXPONENT_CONVENTIONS:
-        e = (
-            vplan.cardinality(positions[-1])
-            if convention == "cardinality"
-            else vplan.index(positions[-1])
-        )
+        e = _exact._exponent(vplan, positions[-1], convention)
         out[convention] = max(
             abs(float(b) - float(base) * float(c) ** e) for b, c in zip(profile, cdf)
         )

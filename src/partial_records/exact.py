@@ -17,6 +17,7 @@ on total-comparison plans; Monte Carlo checks discriminate between them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,12 +29,40 @@ EULER_GAMMA = 0.5772156649015329
 EXPONENT_CONVENTIONS = ("cardinality", "time_index")
 
 
+def _reciprocal_sum(cardinalities, power=1):
+    """Sum of 1/c**power over the cardinalities, as an exact Fraction.
+
+    Binary splitting, quasi-linear where adding term by term is quadratic: a
+    term (a, b) stands for a / b**power with b the lcm of its cardinalities,
+    and neighbours merge pairwise over b // gcd(b, d) * d.
+    """
+    terms = [(1, c) for c in cardinalities] or [(0, 1)]
+    while len(terms) > 1:
+        merged = []
+        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(b, d)
+            b_g, d_g = b // g, d // g
+            merged.append((a * d_g**power + c * b_g**power, b_g * d))
+        merged.extend(terms[2 * len(merged):])
+        terms = merged
+    numerator, denominator = terms[0]
+    return Fraction(numerator, denominator**power)
+
+
 def harmonic_number(j):
     """H_j = 1 + 1/2 + ... + 1/j as an exact Fraction."""
     j = int(j)
     if j < 1:
         raise IndexOutOfRange(f"need j >= 1, got {j}")
-    return sum((Fraction(1, i) for i in range(1, j + 1)), Fraction(0))
+    return _reciprocal_sum(range(1, j + 1))
+
+
+def cumulative_intensity(plan, j):
+    """I_j = sum of 1/c(n_t) over n_t <= j: the expected record count, exact."""
+    vplan = as_validated(plan)
+    if j < 1:
+        raise IndexOutOfRange(f"horizon j={j} must be at least 1")
+    return _reciprocal_sum(vplan.cardinalities[: bisect_right(vplan.indices, j)])
 
 
 def record_prob(plan, t):
@@ -107,17 +136,11 @@ def record_count_moments(plan, j):
     j = int(j)
     if j < 1:
         raise IndexOutOfRange(f"need j >= 1, got {j}")
-    mean = Fraction(0)
-    var = Fraction(0)
-    used = 0
-    for n, c in zip(vplan.indices, vplan.cardinalities):
-        if n > j:
-            break
-        p = Fraction(1, c)
-        mean += p
-        var += p * (1 - p)
-        used += 1
-    return RecordCountStats(j=j, positions_used=used, mean=mean, variance=var)
+    used = bisect_right(vplan.indices, j)
+    cardinalities = vplan.cardinalities[:used]
+    mean = _reciprocal_sum(cardinalities)
+    variance = mean - _reciprocal_sum(cardinalities, 2)
+    return RecordCountStats(j=j, positions_used=used, mean=mean, variance=variance)
 
 
 @dataclass(frozen=True)

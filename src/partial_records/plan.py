@@ -21,9 +21,7 @@ j = 10^5 indices costs O(j) memory rather than O(j^2).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -294,23 +292,6 @@ def check_positions(vplan, positions):
         if not 1 <= t <= vplan.length:
             raise IndexOutOfRange(f"position {t} not in 1..{vplan.length}")
     return positions
-
-
-def cumulative_intensity(plan, j, *, exact=True):
-    """I_j = sum over positions with n_t <= j of 1/c(n_t).
-
-    The expected number of records among the first j sequence indices.  With
-    exact=True the sum is a Fraction; use exact=False for long plans where
-    exact denominators blow up.
-    """
-    vplan = as_validated(plan)
-    if j < 1:
-        raise IndexOutOfRange(f"horizon j={j} must be at least 1")
-    terms = itertools.takewhile(lambda pair: pair[0] <= j,
-                                zip(vplan.indices, vplan.cardinalities))
-    if exact:
-        return sum((Fraction(1, c) for _, c in terms), Fraction(0))
-    return math.fsum(1.0 / c for _, c in terms)
 
 
 def total_comparison_plan(j):

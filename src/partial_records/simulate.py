@@ -163,10 +163,6 @@ class RunResult:
             raise IndexOutOfRange(f"position {t} not in 1..{self.horizon}")
         return self.event_counts[t - 1] / self.n
 
-    def event_ci_radius(self, t):
-        p = self.event_frequency(t)
-        return self.config.z * math.sqrt(p * (1.0 - p) / self.n)
-
     @property
     def joint_frequency(self):
         return None if self.joint_count is None else self.joint_count / self.n

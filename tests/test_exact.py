@@ -8,6 +8,7 @@ quantities, recursion quadrature for bounded events) and then frozen here.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import partial_records as pr
@@ -58,6 +59,41 @@ def test_count_moments_respect_horizon(partial_plan):
     assert stats.positions_used == 2
     assert stats.mean == Fraction(1, 2) + Fraction(1, 4)
     assert stats.variance == Fraction(1, 4) + Fraction(3, 16)
+
+
+def _literal_sums(vplan, j):
+    cards = [c for n, c in zip(vplan.indices, vplan.cardinalities) if n <= j]
+    s1 = sum((Fraction(1, c) for c in cards), Fraction(0))
+    s2 = sum((Fraction(1, c * c) for c in cards), Fraction(0))
+    return len(cards), s1, s1 - s2
+
+
+def test_reciprocal_sums_match_literal_sums_on_long_total_plan():
+    plan = pr.total_comparison_plan(10_000)
+    used, mean, variance = _literal_sums(plan, 10_000)
+    assert pr.harmonic_number(10_000) == mean
+    assert pr.cumulative_intensity(plan, 10_000) == mean
+    stats = pr.record_count_moments(plan, 10_000)
+    assert (stats.positions_used, stats.mean, stats.variance) == (used, mean, variance)
+
+
+def test_reciprocal_sums_match_literal_sums_on_random_plans(partial_plan):
+    rng = np.random.default_rng(20181)
+    below_first = 0
+    for _ in range(200):
+        raw = pr.random_compatible_plan(rng, max_index=int(rng.integers(1, 40)))
+        vplan = pr.as_validated(raw)
+        for j in range(1, vplan.max_index + 2):
+            used, mean, variance = _literal_sums(vplan, j)
+            below_first += used == 0
+            assert pr.cumulative_intensity(raw, j) == mean
+            stats = pr.record_count_moments(raw, j)
+            assert (stats.positions_used, stats.mean, stats.variance) == (used, mean, variance)
+    # the empty sum (j below n_1) is exercised, and it is an exact zero
+    assert below_first > 0
+    stats = pr.record_count_moments(partial_plan, 1)
+    assert (stats.positions_used, stats.mean, stats.variance) == (0, 0, 0)
+    assert type(stats.mean) is Fraction and type(pr.cumulative_intensity(partial_plan, 1)) is Fraction
 
 
 def test_record_time_pmf_total_comparison():

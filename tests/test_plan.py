@@ -104,7 +104,7 @@ def test_cumulative_intensity_matches_hand_sum():
     # hand sum: H_10
     assert pr.cumulative_intensity(p, 10) == Fraction(7381, 2520)
     assert pr.cumulative_intensity(p, 3) == Fraction(11, 6)
-    float_val = pr.cumulative_intensity(p, 10, exact=False)
+    float_val = float(pr.cumulative_intensity(p, 10))
     assert abs(float_val - float(Fraction(7381, 2520))) < 1e-12
 
 
