@@ -356,6 +356,11 @@ def cmd_discrete_sweep(args):
     positions = _parse_list(args.positions, "--positions")
     m_values = _parse_list(args.m, "--m")
     r_values = _parse_list(args.r_values, "--r-values")
+    # a bad list fails here, before the sweep's work and its first write
+    for m in m_values:
+        _discrete._grid_top(density, m)
+    for r in r_values:
+        _discrete._check_power(r)
 
     rows = _discrete.error_sweep(vplan, positions, density, m_values)
     _write_csv(

@@ -14,9 +14,12 @@ quantities:
 
 One rule picks the arithmetic: a density carrying its Fraction hooks (a
 DensitySpec has both pdf_fraction and cdf_fraction or neither) is evaluated
-in exact rationals, any other density in floats.  _grid applies the rule;
-every sum and prefix below keeps the grid's number type, so exact grid
-identities (and the deviations themselves) are free of rounding noise.
+in exact rationals, any other density in floats.  _grid applies the rule,
+once per (density, m).  An exact grid carries integer numerators over common
+denominators: sums, prefixes and the recursion work on those integers and
+track only the denominator, and a Fraction is built only for each returned
+value.  So exact grid identities (and the deviations themselves) are free of
+rounding noise, without a gcd per operation.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import (
     BadParams,
@@ -58,7 +63,7 @@ class DiscreteModel:
     def atom_value(self, l):
         if not 0 <= l <= self.top_index:
             raise IndexOutOfRange(f"atom {l} not in 0..{self.top_index}")
-        return _number(self.exact)(l) / self.m
+        return Fraction(l, self.m) if self.exact else l / self.m
 
     def mass(self, l):
         if not 0 <= l <= self.top_index:
@@ -72,22 +77,32 @@ class DiscreteModel:
         return self.prefix[l]
 
 
-def _number(exact):
-    """The number type of the discrete layer: Fraction when exact, else float."""
-    return Fraction if exact else float
+def _zero(exact):
+    """The empty sum of the discrete layer: int 0 on exact grids, else 0.0."""
+    return 0 if exact else 0.0
 
 
-def _sum(values, exact):
-    """Exact total of Fractions, or the correctly rounded total of floats."""
-    return sum(values, Fraction(0)) if exact else math.fsum(values)
+def _ratio(numerator, denominator, exact):
+    """A returned value: the Fraction numerator/denominator on exact grids, the
+    float quotient otherwise."""
+    return Fraction(numerator, denominator) if exact else numerator / denominator
 
 
-def _prefix(values, exact):
-    """Running sums [0, v_0, v_0 + v_1, ...] of the strictly earlier values."""
-    return list(accumulate(values, initial=_number(exact)(0)))
+def _common(fractions):
+    """(numerators, d): the Fractions as integer numerators over their lcm d."""
+    d = math.lcm(*(v.denominator for v in fractions))
+    return tuple(v.numerator * (d // v.denominator) for v in fractions), d
+
+
+def _check_power(r):
+    if r < 1:
+        raise BadParams(f"power r must be >= 1, got {r}")
 
 
 def _grid_top(density, m):
+    """The last atom index M*m; rejects m < 1 and supports m does not divide."""
+    if m < 1:
+        raise BadParams(f"grid resolution m must be >= 1, got {m}")
     if not density.bounded:
         raise UnboundedSupport("discretization needs a bounded support")
     top = density.support_upper * m
@@ -99,39 +114,68 @@ def _grid_top(density, m):
     return int(rounded)
 
 
+class _Grid(NamedTuple):
+    """f(l/m) = pdf[l]/pdf_den for l = 0..top and F(l/m) = cdf[l]/cdf_den for
+    l = 0..top+1 (1 past the support).  Exact grids hold integer numerators
+    over lcm denominators, float grids the float values over 1."""
+
+    m: int
+    exact: bool
+    pdf: tuple
+    pdf_den: int
+    cdf: tuple
+    cdf_den: int
+
+
+# A sweep evaluates each (density, m) grid once, for its model and for every
+# lemma power; the bound keeps a long-lived process from holding every grid.
+@lru_cache(maxsize=32)
 def _grid(density, m):
-    """(m, exact, pdf, cdf) with pdf[l] = f(l/m) for l = 0..top and cdf[l] =
-    F(l/m) for l = 0..top+1 (1 past the support), evaluated once."""
     m = int(m)
-    if m < 1:
-        raise BadParams(f"grid resolution m must be >= 1, got {m}")
     top = _grid_top(density, m)
-    exact = density.pdf_fraction is not None
-    num = _number(exact)
-    pdf, cdf = (density.pdf_fraction, density.cdf_fraction) if exact else (density.pdf, density.cdf)
-    xs = [num(l) / m for l in range(top + 1)]
-    return m, exact, [num(pdf(x)) for x in xs], [num(cdf(x)) for x in xs] + [num(1)]
+    if density.pdf_fraction is None:
+        xs = [float(l) / m for l in range(top + 1)]
+        pdf = tuple(float(density.pdf(x)) for x in xs)
+        cdf = tuple(float(density.cdf(x)) for x in xs) + (1.0,)
+        return _Grid(m, False, pdf, 1, cdf, 1)
+    xs = [Fraction(l, m) for l in range(top + 1)]
+    pdf, pdf_den = _common([Fraction(density.pdf_fraction(x)) for x in xs])
+    cdf, cdf_den = _common([Fraction(density.cdf_fraction(x)) for x in xs] + [Fraction(1)])
+    return _Grid(m, True, pdf, pdf_den, cdf, cdf_den)
 
 
-def _model(density, m, exact, pdf):
-    total = _sum(pdf, exact)
+def _total(density, grid):
+    """The pdf numerators' sum S, so the model's masses are pdf[l]/S."""
+    total = sum(grid.pdf) if grid.exact else math.fsum(grid.pdf)
     if total <= 0:
-        raise ZeroMass(f"{density.name} vanishes on the whole m={m} grid")
-    masses = tuple(v / total for v in pdf)
-    prefix = _prefix(masses, exact)
-    prefix[-1] = _number(exact)(1)  # exact already; absorbs float rounding
-    return DiscreteModel(m, density.name, masses, tuple(prefix), exact)
+        raise ZeroMass(f"{density.name} vanishes on the whole m={grid.m} grid")
+    return total
+
+
+def _model(density, grid):
+    total = _total(density, grid)
+    masses = tuple(_ratio(v, total, grid.exact) for v in grid.pdf)
+    if grid.exact:
+        prefix = [Fraction(v, total) for v in accumulate(grid.pdf, initial=0)]
+    else:
+        prefix = list(accumulate(masses, initial=0.0))
+        prefix[-1] = 1.0  # absorbs float rounding
+    return DiscreteModel(grid.m, density.name, masses, tuple(prefix), grid.exact)
 
 
 def discretize(density, m):
     """Build the discrete model with atoms proportional to f(l/m)."""
-    m, exact, pdf, _ = _grid(density, m)
-    return _model(density, m, exact, pdf)
+    return _model(density, _grid(density, m))
 
 
-def _riemann(exact, pdf, cdf, r):
-    """sum_{l1 < l} F^(r-1)(l1/m) f(l1/m) for l = 0..top+1."""
-    return _prefix([c ** (r - 1) * f for f, c in zip(pdf, cdf)], exact)
+def _riemann(grid, r):
+    """(numerators, denominator) of (1/m) sum_{l1 < l} F^(r-1)(l1/m) f(l1/m)
+    for l = 0..top+1."""
+    terms = (c ** (r - 1) * f for f, c in zip(grid.pdf, grid.cdf))
+    return (
+        list(accumulate(terms, initial=_zero(grid.exact))),
+        grid.m * grid.pdf_den * grid.cdf_den ** (r - 1),
+    )
 
 
 def theta(density, m, l, r=1):
@@ -140,12 +184,12 @@ def theta(density, m, l, r=1):
     Approximates F^r(l/m)/r, the limit object behind the discrete record
     laws.  l may run to top_index+1 (the full-grid sum).
     """
-    m, exact, pdf, cdf = _grid(density, m)
-    if not 0 <= l <= len(pdf):
-        raise IndexOutOfRange(f"l={l} not in 0..{len(pdf)}")
-    if r < 1:
-        raise BadParams(f"power r must be >= 1, got {r}")
-    return _riemann(exact, pdf, cdf, r)[l] / m
+    grid = _grid(density, m)
+    if not 0 <= l <= len(grid.pdf):
+        raise IndexOutOfRange(f"l={l} not in 0..{len(grid.pdf)}")
+    _check_power(r)
+    sums, den = _riemann(grid, r)
+    return _ratio(sums[l], den, grid.exact)
 
 
 @dataclass(frozen=True)
@@ -177,60 +221,87 @@ def lemma_checks(density, m, r=1):
     cum_vs_cdf:          G_m(l)                      vs  F(l/m)
 
     Maxima are over the atom grid l = 0..top_index (normalization is a
-    single full-grid deviation, reported with argmax_l = top_index + 1).
-    Exact rational when the density has Fraction hooks.  Returns
-    {relation: LemmaDeviation}.
+    single full-grid deviation, reported with argmax_l = top_index + 1), and
+    argmax_l is the first maximal l.  Exact rational when the density has
+    Fraction hooks.  Returns {relation: LemmaDeviation}.
     """
-    if r < 1:
-        raise BadParams(f"power r must be >= 1, got {r}")
-    m, exact, pdf, cdf = _grid(density, m)
-    model = _model(density, m, exact, pdf)
-    atoms = range(len(pdf))
-
-    def worst(name, deviations):
-        arg = max(atoms, key=deviations.__getitem__)
-        return LemmaDeviation(name, r, m, deviations[arg], arg)
-
-    target = [cdf[l] ** r / r for l in atoms]
-    riemann = _riemann(exact, pdf, cdf, r)
-    weighted = _prefix([g ** (r - 1) * v for g, v in zip(model.prefix, model.masses)], exact)
-    normalization = abs(_sum(pdf, exact) / m - _number(exact)(1))
-    return {
-        "normalization": LemmaDeviation("normalization", r, m, normalization, len(pdf)),
-        "riemann_theta": worst("riemann_theta", [abs(riemann[l] / m - target[l]) for l in atoms]),
-        "weighted_power_sum": worst(
-            "weighted_power_sum", [abs(weighted[l] - target[l]) for l in atoms]
-        ),
-        "cum_vs_cdf": worst("cum_vs_cdf", [abs(model.prefix[l] - cdf[l]) for l in atoms]),
+    _check_power(r)
+    grid = _grid(density, m)
+    atoms = range(len(grid.pdf))
+    total = _total(density, grid)
+    if grid.exact:  # masses g/total and strictly-below masses below/total
+        g, below, g_den = grid.pdf, list(accumulate(grid.pdf, initial=0)), total
+    else:
+        model = _model(density, grid)
+        g, below, g_den = model.masses, model.prefix, 1
+    weighted = accumulate((b ** (r - 1) * v for b, v in zip(below, g)), initial=_zero(grid.exact))
+    target = [c**r for c in grid.cdf]  # over r cdf_den^r: F^r(l/m)/r
+    relations = {  # name: (numerators, denominator) of each side
+        "riemann_theta": (_riemann(grid, r), (target, r * grid.cdf_den**r)),
+        "weighted_power_sum": ((list(weighted), g_den**r), (target, r * grid.cdf_den**r)),
+        "cum_vs_cdf": ((below, g_den), (grid.cdf, grid.cdf_den)),
     }
 
+    def deviations(lhs, rhs, ls):
+        """|lhs - rhs| at each l in ls, as (numerators, denominator); exact
+        numerators share the denominator, so the largest is the worst l."""
+        (a, a_den), (b, b_den) = lhs, rhs
+        if grid.exact:
+            return [abs(a[l] * b_den - b[l] * a_den) for l in ls], a_den * b_den
+        return [abs(a[l] / a_den - b[l] / b_den) for l in ls], 1
 
-def record_point_masses(plan, positions, model):
-    """b[l] = P(all selected events hold and the last selected value is atom l).
+    values, den = deviations(([total], grid.m * grid.pdf_den), ([1], 1), [0])
+    out = {
+        "normalization": LemmaDeviation(
+            "normalization", r, grid.m, _ratio(values[0], den, grid.exact), len(grid.pdf)
+        )
+    }
+    for name, (lhs, rhs) in relations.items():
+        values, den = deviations(lhs, rhs, atoms)
+        arg = max(atoms, key=values.__getitem__)
+        out[name] = LemmaDeviation(name, r, grid.m, _ratio(values[arg], den, grid.exact), arg)
+    return out
+
+
+def _point_numerators(plan, positions, model):
+    """(numerators, denominator) of record_point_masses; 1 for a float model.
 
     Forward recursion: at each level the new value must strictly exceed the
     comparison values added since the previous level (prefix mass G to the
     power of the cardinality gap minus one) and the previous level's value
-    (its strictly-below cumulative).
+    (its strictly-below cumulative).  An exact model's masses are integer
+    weights over S, so a level with cardinality gap adds S^(gap+1) to the
+    denominator.
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
-    g = model.masses
-    big_g = model.prefix
+    if model.exact:
+        g, scale = _common(model.masses)
+        big_g = list(accumulate(g, initial=0))
+    else:
+        g, big_g, scale = model.masses, model.prefix, 1
     atoms = model.atom_count
 
     level = None  # cumulative of previous level's point masses, strictly below
     prev_card = 0
     point = None
+    den = 1
     for t in positions:
         gap = vplan.cardinality(t) - prev_card - 1
         if level is None:
             point = [big_g[l] ** gap * g[l] for l in range(atoms)]
         else:
             point = [big_g[l] ** gap * g[l] * level[l] for l in range(atoms)]
-        level = _prefix(point, model.exact)
+        level = list(accumulate(point, initial=_zero(model.exact)))
+        den *= scale ** (gap + 1)
         prev_card = vplan.cardinality(t)
-    return tuple(point)
+    return point, den
+
+
+def record_point_masses(plan, positions, model):
+    """b[l] = P(all selected events hold and the last selected value is atom l)."""
+    point, den = _point_numerators(plan, positions, model)
+    return tuple(_ratio(v, den, model.exact) for v in point)
 
 
 def joint_record_prob_discrete(plan, positions, model):
@@ -239,7 +310,8 @@ def joint_record_prob_discrete(plan, positions, model):
     Exact rational when the model is exact; converges to the continuous
     product of 1/c(n_t) as m grows, with error O(1/m).
     """
-    return _sum(record_point_masses(plan, positions, model), model.exact)
+    point, den = _point_numerators(plan, positions, model)
+    return Fraction(sum(point), den) if model.exact else math.fsum(point)
 
 
 def bounded_profile(plan, positions, model):
@@ -247,7 +319,9 @@ def bounded_profile(plan, positions, model):
 
     Length top_index + 2; B(top+1) is the unconditional joint probability.
     """
-    return tuple(_prefix(record_point_masses(plan, positions, model), model.exact))
+    point, den = _point_numerators(plan, positions, model)
+    below = accumulate(point, initial=_zero(model.exact))
+    return tuple(_ratio(v, den, model.exact) for v in below)
 
 
 def profile_vs_continuous(plan, positions, model, density):
@@ -263,13 +337,14 @@ def profile_vs_continuous(plan, positions, model, density):
     positions = check_positions(vplan, positions)
     profile = bounded_profile(vplan, positions, model)
     base = _exact.joint_record_prob(vplan, positions)
-    *_, cdf = _grid(density, model.m)
+    grid = _grid(density, model.m)
 
     out = {}
     for convention in _exact.EXPONENT_CONVENTIONS:
         e = _exact._exponent(vplan, positions[-1], convention)
         out[convention] = max(
-            abs(float(b) - float(base) * float(c) ** e) for b, c in zip(profile, cdf)
+            abs(float(b) - float(base) * (c / grid.cdf_den) ** e)
+            for b, c in zip(profile, grid.cdf)
         )
     return out
 

@@ -63,6 +63,8 @@ class DensitySpec:
     def __post_init__(self):
         if (self.pdf_fraction is None) != (self.cdf_fraction is None):
             raise BadParams(f"{self.name}: pdf_fraction and cdf_fraction come in pairs")
+        # a tuple keeps the spec hashable, so discrete grids can be cached by it
+        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
 
     @property
     def bounded(self):

@@ -1,12 +1,16 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import partial_records as pr
+from partial_records import cli
 from partial_records.cli import main
 
 
@@ -154,6 +158,90 @@ def test_discrete_sweep_outputs(tmp_path, capsys, total6_file):
     lemma_lines = (out_dir / "lemma.csv").read_text().strip().splitlines()
     # header + 4 relations x 4 m values x 3 r values
     assert len(lemma_lines) == 1 + 4 * 4 * 3
+
+
+def _sweep_argv(plan_file, out_dir, density="smoothstep", m="8,16,64", r_values="1,2,3"):
+    return [
+        "discrete-sweep",
+        "--plan", plan_file,
+        "--positions", "2,3",
+        "--density", density,
+        "--m", m,
+        "--r-values", r_values,
+        "--out", str(out_dir),
+    ]
+
+
+def _counting_density(monkeypatch):
+    """smoothstep whose exact hooks count their calls, resolved for any name."""
+    calls = Counter()
+    base = pr.smoothstep_density()
+
+    def counted(name, hook):
+        def wrapped(x):
+            calls[name] += 1
+            return hook(x)
+
+        return wrapped
+
+    density = dataclasses.replace(
+        base,
+        pdf_fraction=counted("pdf", base.pdf_fraction),
+        cdf_fraction=counted("cdf", base.cdf_fraction),
+    )
+    monkeypatch.setattr(cli, "_resolve_density", lambda token: density)
+    return calls
+
+
+def test_discrete_sweep_evaluates_each_grid_once(tmp_path, monkeypatch, total6_file):
+    calls = _counting_density(monkeypatch)
+    m_values = (8, 16, 64, 128)
+    argv = _sweep_argv(total6_file, tmp_path / "sweep", m=",".join(map(str, m_values)))
+    assert main(argv) == 0
+    # the support is [0, 1], so each grid has atoms l = 0..m
+    expected = sum(m + 1 for m in m_values)
+    assert calls == {"pdf": expected, "cdf": expected}
+
+
+@pytest.mark.parametrize("m, r_values", [("8,1024", "1,0"), ("8,0", "1,2,3")])
+def test_discrete_sweep_rejects_bad_params_before_work(
+    tmp_path, capsys, monkeypatch, total6_file, m, r_values
+):
+    calls = _counting_density(monkeypatch)
+    out_dir = tmp_path / "sweep"
+    assert main(_sweep_argv(total6_file, out_dir, m=m, r_values=r_values)) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not calls
+    assert list(out_dir.iterdir()) == []
+
+
+# sha256 of the outputs, taken before exact grids moved to integer numerators;
+# smoothstep runs the exact path, power(3/2) the float path
+SWEEP_DIGESTS = {
+    "smoothstep": {
+        "sweep.csv": "90e38a4ef8fa107b0fa1d96ddf80dce1d0ce03abc90901c45f5e611de2e281fb",
+        "lemma.csv": "16181ab9a3afdf80457777dc4f856e5452ae604624d6fd12a6688cd1ed621dca",
+        "summary.json": "1ceac7ad0b02ab4363c35754ad4036e7694ebddbddd077f2c1f96466d8bab8f3",
+    },
+    "power(3/2)": {
+        "sweep.csv": "a1fd364276d70c1adaec31f4a62de1fe6dcc3e7a4fa00146153fcebdfbd28d9c",
+        "lemma.csv": "904ddb0746505350a1212fd71a5c90db7efece36b95c536e7f4ab38a3ea9f796",
+        "summary.json": "21a2e8bac52962dbb9f732dff9127ec04e01d9e7e051cc64ea9ce3d11d7705ec",
+    },
+}
+
+
+@pytest.mark.parametrize("density", sorted(SWEEP_DIGESTS))
+def test_discrete_sweep_bytes_are_pinned(tmp_path, density):
+    plan_file = tmp_path / "total3.json"
+    pr.save_plan_file(pr.total_comparison_plan(3), plan_file)
+    out_dir = tmp_path / "sweep"
+    assert main(_sweep_argv(str(plan_file), out_dir, density=density)) == 0
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in SWEEP_DIGESTS[density]
+    }
+    assert digests == SWEEP_DIGESTS[density]
 
 
 def test_oracle_check_passes(capsys, total6_file):

@@ -4,7 +4,10 @@ Derived values were confirmed against the exhaustive discrete oracle before
 freezing (see test_oracle.py for the oracle's own pinning).
 """
 
+import dataclasses
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -27,6 +30,9 @@ def test_discretize_triangular_masses():
     model = pr.discretize(pr.triangular_density(), 4)
     # f at 0, 1/4, 1/2, 3/4, 1 is 0, 1, 2, 1, 0 before normalization
     assert model.masses == (0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 0)
+    # a spec given its breakpoints as a list is just as usable
+    listed = dataclasses.replace(pr.triangular_density(), breakpoints=[0.5])
+    assert pr.discretize(listed, 4).masses == model.masses
 
 
 def test_discretize_rejections():
@@ -153,3 +159,95 @@ def test_bounded_profile_and_exponent_report(total5):
     devs = pr.profile_vs_continuous(chained, (2, 3), model, s)
     assert devs["cardinality"] < 0.02
     assert devs["time_index"] > 0.05
+
+
+# Reference formulas: one Fraction per grid value and per operation, so the
+# integer-numerator arithmetic of the library is checked against the plain
+# definitions of each lemma relation, theta and the forward recursion.
+
+EXACT_BUILTINS = ("uniform01", "power(2)", "smoothstep", "triangular", "truncated_ramp")
+
+
+def _reference_prefix(values, zero=Fraction(0)):
+    return list(accumulate(values, initial=zero))
+
+
+def _reference_grid(density, m):
+    xs = [Fraction(l, m) for l in range(round(density.support_upper * m) + 1)]
+    pdf = [Fraction(density.pdf_fraction(x)) for x in xs]
+    return pdf, [Fraction(density.cdf_fraction(x)) for x in xs] + [Fraction(1)]
+
+
+def _reference_theta(pdf, cdf, m, r):
+    return [s / m for s in _reference_prefix([c ** (r - 1) * f for f, c in zip(pdf, cdf)])]
+
+
+def _reference_lemma(density, m, r):
+    pdf, cdf = _reference_grid(density, m)
+    total = sum(pdf, Fraction(0))
+    masses = [v / total for v in pdf]
+    below = _reference_prefix(masses)
+    atoms = range(len(pdf))
+    target = [cdf[l] ** r / r for l in atoms]
+    theta = _reference_theta(pdf, cdf, m, r)
+    weighted = _reference_prefix([g ** (r - 1) * v for g, v in zip(below, masses)])
+
+    def worst(deviations):
+        arg = max(atoms, key=deviations.__getitem__)  # the first maximal l
+        return deviations[arg], arg
+
+    return {
+        "normalization": (abs(total / m - 1), len(pdf)),
+        "riemann_theta": worst([abs(theta[l] - target[l]) for l in atoms]),
+        "weighted_power_sum": worst([abs(weighted[l] - target[l]) for l in atoms]),
+        "cum_vs_cdf": worst([abs(below[l] - cdf[l]) for l in atoms]),
+    }
+
+
+def _reference_point_masses(plan, positions, model):
+    zero = Fraction(0) if model.exact else 0.0
+    point, level, prev = None, None, 0
+    for t in positions:
+        gap = plan.cardinality(t) - prev - 1
+        point = [model.prefix[l] ** gap * model.masses[l] for l in range(model.atom_count)]
+        if level is not None:
+            point = [p * b for p, b in zip(point, level)]
+        level = _reference_prefix(point, zero)
+        prev = plan.cardinality(t)
+    return point
+
+
+def test_lemma_and_theta_equal_fraction_reference():
+    for name in EXACT_BUILTINS:
+        density = pr.builtin(name)
+        for m in (2, 3, 8, 64):
+            pdf, cdf = _reference_grid(density, m)
+            model = pr.discretize(density, m)
+            masses = [v / sum(pdf) for v in pdf]
+            assert model.masses == tuple(masses)
+            assert model.prefix == tuple(_reference_prefix(masses))
+            for r in (1, 2, 3):
+                expected = _reference_lemma(density, m, r)
+                got = pr.lemma_checks(density, m, r)
+                assert {k: (v.deviation, v.argmax_l) for k, v in got.items()} == expected, (
+                    name, m, r)
+                theta = _reference_theta(pdf, cdf, m, r)
+                assert [pr.theta(density, m, l, r) for l in range(len(theta))] == theta
+
+
+def test_recursion_equals_reference_on_random_plans():
+    rng = np.random.default_rng(20261018)
+    densities = [pr.builtin(name) for name in EXACT_BUILTINS + ("power(3/2)",)]
+    for i in range(60):
+        plan = pr.as_validated(pr.random_compatible_plan(rng, max_index=8))
+        count = int(rng.integers(1, plan.length + 1))
+        positions = tuple(sorted(int(t) + 1 for t in rng.choice(plan.length, count, replace=False)))
+        density = densities[i % len(densities)]
+        model = pr.discretize(density, int(rng.choice([2, 3, 5, 8])))
+        point = _reference_point_masses(plan, positions, model)
+        zero = Fraction(0) if model.exact else 0.0
+        assert pr.record_point_masses(plan, positions, model) == tuple(point)
+        assert pr.bounded_profile(plan, positions, model) == tuple(_reference_prefix(point, zero))
+        joint = pr.joint_record_prob_discrete(plan, positions, model)
+        assert joint == (sum(point, zero) if model.exact else math.fsum(point))
+        assert type(joint) is type(zero)
