@@ -32,7 +32,7 @@ from .errors import (
     QuadratureFailure,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _fmt(x):
@@ -78,8 +78,11 @@ def _write_json(path, obj):
 # validate
 
 def cmd_validate(args):
-    raw = _plan.load_plan_file(args.plan)
-    result = _plan.validate(raw)
+    try:
+        result = _plan.validate(_plan.load_plan_file(args.plan))
+    except PlanValidationError as exc:
+        # a canonical-form file is checked while it loads
+        result = exc.report
     if isinstance(result, _plan.ValidationReport):
         for violation in result.violations:
             print(violation)
@@ -180,8 +183,10 @@ def cmd_simulate(args):
     horizon = args.horizon if args.horizon is not None else vplan.length
     joint = _parse_list(args.positions, "--positions") if args.positions else ()
     grid = _parse_list(args.grid, "--grid", float) if args.grid else ()
-    if grid and args.r is None:
-        raise ValueError("--grid needs --r")
+    if grid and (args.r is None or args.r < 1):
+        raise ValueError("--grid needs --r >= 1")
+    if not (math.isfinite(args.z) and args.z > 0):
+        raise ValueError(f"--z must be a positive finite number, got {args.z}")
     if args.checkpoints is None:
         checkpoints = ()
     elif args.checkpoints == "auto":

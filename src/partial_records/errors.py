@@ -69,7 +69,8 @@ class NonIntegerGrid(PartialRecordsError, ValueError):
 
 class StateSpaceTooLarge(PartialRecordsError, ValueError):
     """A size guard was exceeded: exhaustive discrete enumeration, or
-    materializing every comparison set of a plan (as saving or hashing does)."""
+    materializing every comparison set of a plan (to_comparison_plan).
+    Saving and hashing a plan use its O(j) form and never raise it."""
 
 
 class NegativeCutoff(PartialRecordsError, ValueError):

@@ -15,7 +15,8 @@ P(record at t) = 1/c(n_t) where c(n_t) = |C(n_t)| + 1.
 Validated plans are stored lazily: only the indices, the per-position
 cardinalities, and the per-position *fresh* comparison indices (those not
 implied by the previous set and (a2)) are kept, so a total-comparison plan on
-j = 10^5 indices costs O(j) memory rather than O(j^2).
+j = 10^5 indices costs O(j) memory rather than O(j^2).  Plan files and
+plan_hash use the same O(j) form: the indices and the fresh sets.
 """
 
 from __future__ import annotations
@@ -153,9 +154,20 @@ class ValidatedPlan:
         return tuple(sorted(members))
 
     def to_comparison_plan(self):
-        """Materialize every comparison set.  Costs O(sum of |C(n_t)|)."""
-        sets = tuple(frozenset(members) for members, _ in _sorted_sets(self))
-        return ComparisonPlan(self.indices, sets)
+        """Materialize every comparison set.  Costs O(sum of |C(n_t)|); a plan
+        needing more than 20M set entries raises StateSpaceTooLarge."""
+        total = sum(self.cardinalities) - self.length
+        if total > 20_000_000:
+            raise StateSpaceTooLarge(
+                f"materializing this plan needs {total} set entries; keep it lazy"
+            )
+        sets = []
+        members = set()
+        for n, fresh in zip(self.indices, self.fresh_sets):
+            members.update(fresh)
+            sets.append(frozenset(members))
+            members.add(n)
+        return ComparisonPlan(self.indices, tuple(sets))
 
 
 def _int_set(s):
@@ -163,38 +175,6 @@ def _int_set(s):
     if type(s) is frozenset and set(map(type, s)) <= {int}:
         return s
     return frozenset(map(int, s))
-
-
-def _sorted_sets(plan):
-    """Yield (members, grown) for each position t of a plan.
-
-    members is C(n_t) as a sorted list; for a ValidatedPlan it is one list
-    grown in place, so a caller that keeps it must copy it.  grown is the
-    number of members appended at its end since C(n_{t-1}) when every new
-    member exceeds the old maximum (always so for total and chained plans),
-    or None when the members had to be merged and re-sorted.  A ValidatedPlan
-    needing more than 20M set entries raises StateSpaceTooLarge.
-    """
-    if isinstance(plan, ComparisonPlan):
-        for s in plan.comparison_sets:
-            yield sorted(s), None
-        return
-    total = sum(plan.cardinalities) - plan.length
-    if total > 20_000_000:
-        raise StateSpaceTooLarge(
-            f"materializing this plan needs {total} set entries; keep it lazy"
-        )
-    members = []
-    prev = ()
-    for n, fresh in zip(plan.indices, plan.fresh_sets):
-        new = sorted({*prev, *fresh})
-        if not members or not new or new[0] > members[-1]:
-            members += new
-            yield members, len(new)
-        else:
-            members = sorted(set(members).union(new))
-            yield members, None
-        prev = (n,)
 
 
 def _index_violations(t, n, prev, members):
@@ -207,8 +187,9 @@ def _index_violations(t, n, prev, members):
         violations.append(
             Violation(NOT_STRICTLY_INCREASING, t, f"index {n} does not exceed predecessor {prev}")
         )
-    bad = sorted(e for e in members if not 1 <= e <= n - 1)
-    if bad:
+    # min and max run at C speed; the scan only names the offending members
+    if members and (min(members) < 1 or max(members) > n - 1):
+        bad = sorted(e for e in members if not 1 <= e <= n - 1)
         violations.append(Violation(SET_OUT_OF_RANGE, t, f"elements {bad} outside 1..{n - 1}"))
     return violations
 
@@ -237,22 +218,19 @@ def validate(plan):
     """Check compatibility; return a ValidatedPlan or a complete ValidationReport.
 
     Total on syntactically well-formed plans: every failure mode is reported
-    (all positions are scanned), never raised.
+    (all positions are scanned), never raised.  A ValidatedPlan is returned
+    unchanged.
     """
+    if isinstance(plan, ValidatedPlan):
+        return plan
     idx = plan.indices
     sets = plan.comparison_sets
     prevs = (None, *idx[:-1])
     prev_sets = (frozenset(), *sets[:-1])
     news = tuple(map(frozenset.difference, sets, prev_sets))
     violations = []
-    prev_in_range = True
-    for t, (n, prev, cur, new) in enumerate(zip(idx, prevs, sets, news), start=1):
-        # members of C(n_{t-1}) lie in 1..n_{t-1}-1, inside 1..n_t-1 when the
-        # index grew, so only the new members need the range check
-        grew = prev is None or n > prev
-        found = _index_violations(t, n, prev, new if prev_in_range and grew else cur)
-        prev_in_range = SET_OUT_OF_RANGE not in (v.kind for v in found)
-        violations += found
+    for t, (n, prev, cur) in enumerate(zip(idx, prevs, sets), start=1):
+        violations += _index_violations(t, n, prev, cur)
     for t in range(2, len(idx) + 1):
         violations += _nesting_violations(t, prevs[t - 1], prev_sets[t - 1], sets[t - 1])
     if violations:
@@ -267,8 +245,6 @@ def validate(plan):
 
 def as_validated(plan):
     """Accept a ValidatedPlan as-is; validate a ComparisonPlan or raise."""
-    if isinstance(plan, ValidatedPlan):
-        return plan
     result = validate(plan)
     if isinstance(result, ValidationReport):
         raise PlanValidationError(result)
@@ -449,55 +425,73 @@ class EventQuery:
 
 
 # ---------------------------------------------------------------------------
-# JSON plan files: {"indices": [...], "comparison_sets": [[...], ...]}
-
-def _canonical_chunks(plan, item_sep, key_sep):
-    """Stream the canonical JSON text of a plan: keys sorted, each set sorted.
-
-    The chunks join to json.dumps(plan_to_json_dict(plan), sort_keys=True,
-    separators=(item_sep, key_sep)).  A set that only grew at its end reuses
-    the previous set's text, so the cost is O(output bytes).
-    """
-    yield '{"comparison_sets"' + key_sep + "["
-    text = ""
-    for t, (members, grown) in enumerate(_sorted_sets(plan)):
-        if grown is None or not text:
-            text = item_sep.join(map(str, members))
-        elif grown:
-            text += item_sep + item_sep.join(map(str, members[-grown:]))
-        yield (item_sep if t else "") + "[" + text + "]"
-    yield "]" + item_sep + '"indices"' + key_sep + "["
-    yield item_sep.join(map(str, plan.indices)) + "]}"
-
+# JSON plan files.  The canonical form is what a ValidatedPlan stores, O(j)
+# numbers for j positions: {"fresh": [[...], ...], "indices": [...]}, keys
+# sorted and each fresh set sorted.  The full form
+# {"comparison_sets": [[...], ...], "indices": [...]} is read too, because a
+# hand-written plan may be incompatible and only that form can say how.
 
 def plan_to_json_dict(plan):
-    return {
-        "indices": list(plan.indices),
-        "comparison_sets": [list(members) for members, _ in _sorted_sets(plan)],
-    }
+    """The canonical dict of a plan; a ComparisonPlan is validated first."""
+    vplan = as_validated(plan)
+    return {"fresh": [list(f) for f in vplan.fresh_sets], "indices": list(vplan.indices)}
+
+
+def _plan_from_fresh(indices, fresh):
+    """The ValidatedPlan with C(n_t) = C(n_{t-1}) + {n_{t-1}} + fresh[t-1].
+
+    A fresh member that is an earlier index or an earlier fresh member raises
+    ValueError, so c(n_t) - 1 is the number of members the file lists for
+    C(n_t).  Index-rule violations raise PlanValidationError, all of them.
+    """
+    if len(indices) != len(fresh):
+        raise ValueError(f"{len(indices)} indices but {len(fresh)} fresh sets")
+    if not indices:
+        raise ValueError("a plan needs at least one index")
+    seen = set()
+    violations = []
+    cardinalities = []
+    prevs = (None, *indices[:-1])
+    for t, (n, prev, members) in enumerate(zip(indices, prevs, fresh), start=1):
+        if not seen.isdisjoint(members):
+            raise ValueError(f"fresh[{t - 1}] repeats earlier members {sorted(seen & members)}")
+        violations += _index_violations(t, n, prev, members)
+        seen |= members
+        seen.add(n)
+        # n is not in C(n_t) unless an index rule failed, so |seen| = c(n_t)
+        cardinalities.append(len(seen))
+    if violations:
+        raise PlanValidationError(ValidationReport(tuple(violations)))
+    return ValidatedPlan(indices, tuple(cardinalities), tuple(map(tuple, map(sorted, fresh))))
 
 
 def plan_from_json_dict(obj):
+    """A ValidatedPlan from the canonical form, a ComparisonPlan from the full one."""
     if not isinstance(obj, dict):
         raise ValueError("plan file must hold a JSON object")
-    missing = {"indices", "comparison_sets"} - set(obj)
+    if {"fresh", "comparison_sets"} <= set(obj):
+        raise ValueError("plan object has both fresh and comparison_sets")
+    key = "fresh" if "fresh" in obj else "comparison_sets"
+    missing = {"indices", key} - set(obj)
     if missing:
         raise ValueError(f"plan object missing keys: {sorted(missing)}")
     indices = obj["indices"]
-    sets = obj["comparison_sets"]
+    sets = obj[key]
     # type(True) is bool, so exact-type checks reject booleans as integers
     if not isinstance(indices, list) or not set(map(type, indices)) <= {int}:
         raise ValueError("indices must be a list of integers")
     if not isinstance(sets, list):
-        raise ValueError("comparison_sets must be a list of lists")
+        raise ValueError(f"{key} must be a list of lists")
     parsed = []
     for k, s in enumerate(sets):
         if not isinstance(s, list) or not set(map(type, s)) <= {int}:
-            raise ValueError(f"comparison_sets[{k}] must be a list of integers")
+            raise ValueError(f"{key}[{k}] must be a list of integers")
         members = frozenset(s)
         if len(members) != len(s):
-            raise ValueError(f"comparison_sets[{k}] has duplicate entries")
+            raise ValueError(f"{key}[{k}] has duplicate entries")
         parsed.append(members)
+    if key == "fresh":
+        return _plan_from_fresh(tuple(indices), parsed)
     return ComparisonPlan(tuple(indices), tuple(parsed))
 
 
@@ -511,15 +505,12 @@ def load_plan_file(path):
 
 
 def save_plan_file(plan, path):
-    """Write the canonical JSON form with ", " and ": " separators."""
+    """Write the canonical form with ", " and ": " separators, plus a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_canonical_chunks(plan, ", ", ": "))
-        fh.write("\n")
+        fh.write(json.dumps(plan_to_json_dict(plan), sort_keys=True) + "\n")
 
 
 def plan_hash(plan):
-    """SHA-256 of the compact canonical JSON form (separators "," and ":")."""
-    digest = hashlib.sha256()
-    for chunk in _canonical_chunks(plan, ",", ":"):
-        digest.update(chunk.encode("utf-8"))
-    return digest.hexdigest()
+    """SHA-256 of the compact canonical JSON text (separators "," and ":")."""
+    text = json.dumps(plan_to_json_dict(plan), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

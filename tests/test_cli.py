@@ -82,10 +82,80 @@ def test_exact_invalid_plan_is_exit_2(capsys, bad_plan_file):
     assert main(["exact", "--plan", bad_plan_file, "--positions", "1"]) == 2
 
 
-def test_exact_oversized_plan_is_exit_2(capsys, monkeypatch, total6_file):
-    monkeypatch.setattr(pr.plan, "load_plan_file", lambda path: pr.total_comparison_plan(7000))
-    assert main(["exact", "--plan", total6_file, "--positions", "1"]) == 2
-    assert "keep it lazy" in capsys.readouterr().err
+def test_exact_formerly_oversized_plan_is_exit_0(capsys, monkeypatch, total6_file):
+    # total(7000) has more than 20M comparison-set entries
+    plan = pr.total_comparison_plan(7000)
+    monkeypatch.setattr(pr.plan, "load_plan_file", lambda path: plan)
+    assert main(["exact", "--plan", total6_file, "--positions", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["plan_hash"] == pr.plan_hash(plan)
+
+
+def test_large_plan_is_saved_loaded_hashed_and_run_without_materializing(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("a comparison set was materialized")
+
+    monkeypatch.setattr(pr.ValidatedPlan, "comparison_set", refuse)
+    monkeypatch.setattr(pr.ValidatedPlan, "to_comparison_plan", refuse)
+    plan = pr.total_comparison_plan(100_000)
+    path = tmp_path / "total.json"
+    pr.save_plan_file(plan, path)
+    assert path.stat().st_size < 2_000_000
+    assert pr.load_plan_file(path) == plan
+    digest = pr.plan_hash(plan)
+    assert main(["exact", "--plan", str(path), "--positions", "1,100000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["plan_hash"] == digest
+    assert out["joint"]["fraction"] == "1/100000"
+
+
+def _write_plan(tmp_path, obj):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"fresh": [[]], "indices": [True]}, "indices must be a list of integers"),
+        ({"fresh": [[]], "indices": [2.0]}, "indices must be a list of integers"),
+        ({"fresh": [["1"]], "indices": [2]}, r"fresh\[0\] must be a list of integers"),
+        ({"fresh": [[[1]]], "indices": [2]}, r"fresh\[0\] must be a list of integers"),
+        ({"fresh": [[True]], "indices": [2]}, r"fresh\[0\] must be a list of integers"),
+        ({"fresh": [[1, 1]], "indices": [3]}, r"fresh\[0\] has duplicate entries"),
+        ({"fresh": [[], [1]], "indices": [1, 3]}, r"fresh\[1\] repeats earlier members \[1\]"),
+        ({"fresh": [[1], [1]], "indices": [2, 4]}, r"fresh\[1\] repeats earlier members \[1\]"),
+        ({"fresh": [[]], "indices": [1, 2]}, "2 indices but 1 fresh sets"),
+        ({"fresh": [], "indices": []}, "at least one index"),
+        ({"fresh": [[]], "comparison_sets": [[]], "indices": [1]}, "both"),
+    ],
+)
+def test_canonical_form_rejects_malformed_input(tmp_path, capsys, obj, message):
+    with pytest.raises(ValueError, match=message) as info:
+        pr.plan_from_json_dict(obj)
+    assert not isinstance(info.value, pr.PlanValidationError)
+    assert main(["validate", "--plan", _write_plan(tmp_path, obj)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj, report",
+    [
+        ({"fresh": [[], []], "indices": [3, 3]},
+         "[NotStrictlyIncreasingIndices] position 2: index 3 does not exceed predecessor 3"),
+        ({"fresh": [[]], "indices": [0]},
+         "[NotStrictlyIncreasingIndices] position 1: index 0 is below 1"),
+        ({"fresh": [[1], [0, 4]], "indices": [2, 4]},
+         "[SetOutOfRange] position 2: elements [0, 4] outside 1..3"),
+    ],
+)
+def test_canonical_form_violations_are_reported(tmp_path, capsys, obj, report):
+    path = _write_plan(tmp_path, obj)
+    assert main(["validate", "--plan", path]) == 1
+    assert capsys.readouterr().out == f"{report}\nINVALID (1 violations)\n"
+    assert main(["exact", "--plan", path, "--positions", "1"]) == 2
 
 
 def test_exact_unknown_density_is_exit_2(capsys, total6_file):
@@ -120,6 +190,19 @@ def test_simulate_outputs_and_gates(tmp_path, capsys, total6_file):
     assert freq_lines[0].startswith("position,time_index,")
     assert (out_dir / "ecdf.csv").exists()
     assert (out_dir / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--r", "0", "--grid", "0.5"], ["--z", "-4"], ["--z", "0"], ["--z", "nan"], ["--z", "inf"]],
+)
+def test_simulate_rejects_bad_options_before_the_run(tmp_path, capsys, total6_file, options):
+    out_dir = tmp_path / "run"
+    argv = ["simulate", "--plan", total6_file, "--density", "uniform01", "--n", "1000",
+            "--seed", "1", *options, "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_simulate_deterministic_bytes(tmp_path, total6_file):
@@ -215,18 +298,19 @@ def test_discrete_sweep_rejects_bad_params_before_work(
     assert list(out_dir.iterdir()) == []
 
 
-# sha256 of the outputs, taken before exact grids moved to integer numerators;
+# sha256 of the outputs, taken before exact grids moved to integer numerators
+# (summary.json: since plan_hash covers the O(j) plan form, schema 2);
 # smoothstep runs the exact path, power(3/2) the float path
 SWEEP_DIGESTS = {
     "smoothstep": {
         "sweep.csv": "90e38a4ef8fa107b0fa1d96ddf80dce1d0ce03abc90901c45f5e611de2e281fb",
         "lemma.csv": "16181ab9a3afdf80457777dc4f856e5452ae604624d6fd12a6688cd1ed621dca",
-        "summary.json": "1ceac7ad0b02ab4363c35754ad4036e7694ebddbddd077f2c1f96466d8bab8f3",
+        "summary.json": "d9db7cc83005cc900d7e6eab9a2bebd0595cba7d655b4703a1974f44c326a865",
     },
     "power(3/2)": {
         "sweep.csv": "a1fd364276d70c1adaec31f4a62de1fe6dcc3e7a4fa00146153fcebdfbd28d9c",
         "lemma.csv": "904ddb0746505350a1212fd71a5c90db7efece36b95c536e7f4ab38a3ea9f796",
-        "summary.json": "21a2e8bac52962dbb9f732dff9127ec04e01d9e7e051cc64ea9ce3d11d7705ec",
+        "summary.json": "7e08fc55e5935806acdde00994335cfb4c3331e3be579041e777ef8848e1df1c",
     },
 }
 

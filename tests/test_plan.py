@@ -142,7 +142,9 @@ def test_plan_builder_reports_like_validate():
 
 def test_materializing_an_oversized_plan_raises_state_space_too_large():
     with pytest.raises(pr.StateSpaceTooLarge):
-        pr.plan_hash(pr.total_comparison_plan(7000))
+        pr.total_comparison_plan(7000).to_comparison_plan()
+    # the hash reads the O(j) form, so no cap applies to it
+    assert len(pr.plan_hash(pr.total_comparison_plan(100_000))) == 64
 
 
 def test_random_compatible_plans_always_validate(rng):
@@ -198,46 +200,56 @@ def test_json_rejects_malformed_input(tmp_path):
         pr.load_plan_file(bad)
 
 
-def _reference_json(plan, **dumps_kwargs):
-    """The canonical form built the plain way, from materialized sets."""
+def _reference_dict(plan):
+    """The canonical dict built the plain way, from materialized sets:
+    fresh_t = C(n_t) - C(n_{t-1}) - {n_{t-1}}."""
     if isinstance(plan, pr.ValidatedPlan):
         sets = [plan.comparison_set(t) for t in range(1, plan.length + 1)]
         assert plan.to_comparison_plan().comparison_sets == tuple(sets)
     else:
         sets = plan.comparison_sets
-    obj = {"indices": list(plan.indices), "comparison_sets": [sorted(s) for s in sets]}
-    return json.dumps(obj, sort_keys=True, **dumps_kwargs)
+    implied = [frozenset()] + [s | {n} for s, n in zip(sets, plan.indices)]
+    return {
+        "fresh": [sorted(s - known) for s, known in zip(sets, implied)],
+        "indices": list(plan.indices),
+    }
 
 
-def test_streamed_file_and_hash_match_json_dumps(tmp_path, rng):
+def test_file_and_hash_match_json_dumps_in_either_form(tmp_path, rng):
     plans = [pr.total_comparison_plan(j) for j in range(1, 61)]
     plans.append(pr.chained_plan([1, 3, 5, 9]))
-    interleaved = 0
-    for _ in range(200):
-        raw = pr.random_compatible_plan(rng, max_index=14)
-        vplan = pr.validate(raw)
-        plans += [raw, vplan]
-        # a fresh member below n_{t-1} lands inside C(n_t), not at its end
-        interleaved += any(
-            f and min(f) < prev for prev, f in zip(vplan.indices, vplan.fresh_sets[1:])
-        )
-    assert interleaved >= 50
-    path = tmp_path / "plan.json"
+    plans += [pr.random_compatible_plan(rng, max_index=14) for _ in range(200)]
+    # random plans carry fresh members, also below n_{t-1}
+    assert sum(any(pr.validate(p).fresh_sets[1:]) for p in plans[61:]) >= 100
+    canonical, full = tmp_path / "canonical.json", tmp_path / "full.json"
     for plan in plans:
-        pr.save_plan_file(plan, path)
-        assert path.read_text(encoding="utf-8") == _reference_json(plan) + "\n"
-        compact = _reference_json(plan, separators=(",", ":"))
-        assert pr.plan_hash(plan) == hashlib.sha256(compact.encode("utf-8")).hexdigest()
-        assert pr.plan_to_json_dict(plan) == json.loads(compact)
+        vplan = pr.as_validated(plan)
+        reference = _reference_dict(plan)
+        compact = json.dumps(reference, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(compact.encode("utf-8")).hexdigest()
+        pr.save_plan_file(plan, canonical)
+        assert canonical.read_text(encoding="utf-8") == json.dumps(reference, sort_keys=True) + "\n"
+        assert pr.plan_hash(plan) == digest
+        assert pr.plan_to_json_dict(plan) == reference
+        loaded = pr.load_plan_file(canonical)
+        assert loaded == vplan
+        assert pr.plan_hash(loaded) == digest
+        sets = vplan.to_comparison_plan().comparison_sets
+        full.write_text(json.dumps({"comparison_sets": list(map(sorted, sets)),
+                                    "indices": reference["indices"]}))
+        raw = pr.load_plan_file(full)
+        assert isinstance(raw, pr.ComparisonPlan)
+        assert pr.as_validated(raw) == vplan
+        assert pr.plan_hash(raw) == digest
 
 
 def test_plan_hash_digests_are_pinned():
     # every CLI output carries this digest as plan_hash
     assert pr.plan_hash(pr.total_comparison_plan(1500)) == (
-        "8a55bce36f9b7aa06f3c48721fde17a6e91413ab7d23d1cf0fc9cd7df4733e87"
+        "52366850c7b3a1a0f332fb2aca826531d5e84aa4510dfbfd6122f6ad83b54236"
     )
     assert pr.plan_hash(pr.chained_plan([1, 3, 5, 9])) == (
-        "63f572338fbbd256707d3a0ca006df21eb0635dce8df8d73db83e5af69f715e1"
+        "e432fc255c5dd67ccd824f80de64304e00d9355f7f84d39b3c6f527063f83ed9"
     )
 
 
