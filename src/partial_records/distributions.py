@@ -19,8 +19,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import BadParams, InversionFailure, QuadratureFailure, UnknownFamily
 
@@ -42,10 +40,12 @@ class DensitySpec:
     """A continuous density on [0, support_upper] (inf for unbounded tails).
 
     pdf/cdf/inverse_cdf accept floats or numpy arrays; inverse_cdf must be
-    non-decreasing, because simulation compares uniforms.  pdf_fraction and
-    cdf_fraction map a Fraction in [0, M] to an exact Fraction value; they
-    come in pairs (both or neither), and with them the discrete layer stays
-    in rational arithmetic.
+    non-decreasing, because simulation compares uniforms, and a pure
+    function, because a run calls it from several threads at once on
+    disjoint arrays (the built-in and tabulated densities are).
+    pdf_fraction and cdf_fraction map a Fraction in [0, M] to an exact
+    Fraction value; they come in pairs (both or neither), and with them the
+    discrete layer stays in rational arithmetic.
     """
 
     name: str
@@ -336,6 +336,8 @@ def tabulated_density(xs, fs, name="tabulated"):
     by bisection.  The smoothness bound is a finite-difference estimate and
     is flagged as such.
     """
+    from scipy.interpolate import PchipInterpolator
+
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 3:
@@ -403,6 +405,8 @@ def verify_density(spec, grid_points=1001):
     Bounded support: F(0)=0, F(M)=1, F nondecreasing on a grid, pdf integrates
     to 1 within 1e-8, and cdf(inverse_cdf(u)) returns u within 1e-8.
     """
+    from scipy.integrate import quad
+
     problems = []
     if abs(float(spec.cdf(0.0))) > TOL_ENDPOINT:
         problems.append(f"cdf(0) = {float(spec.cdf(0.0)):.3e} != 0")

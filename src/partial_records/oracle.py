@@ -25,7 +25,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     NegativeCutoff,
@@ -168,6 +167,8 @@ def quadrature_bounded(plan, positions, x, density, tol=1e-10, max_cells=1 << 16
     tol.  Independent of the closed-form product and of the exponent
     convention it is used to check.
     """
+    from scipy.integrate import cumulative_simpson
+
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
     if x <= 0:

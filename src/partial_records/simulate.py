@@ -5,9 +5,19 @@ inverse_cdf(u), where u is element k of the Philox stream keyed by
 (master_seed, i), counter 0.  A run streams the plan positions in order with
 one Philox generator, re-keyed for each column; nested comparison sets mean a
 single running maximum per replication suffices, and the previous candidate
-column is reused as the predecessor comparison.  All tallies are exact
-integers, so results are bit-identical regardless of thread count or memory
-layout, and any single draw can be regenerated after the fact for auditing.
+column is reused as the predecessor comparison.  Any single draw can be
+regenerated after the fact for auditing.
+
+Blocks: replications are independent, so `run` splits 0..n-1 into contiguous
+blocks, one per usable CPU once each block holds at least MIN_BLOCK
+replications, and runs each block's pass over the positions on its own
+thread (the draws, ufuncs and indexing release the GIL).  Block starts are
+multiples of 4: Philox4x64 yields four doubles per counter step, so a block
+starting at replication lo jumps lo // 4 steps after each re-key and draws
+exactly the elements lo.. of every stream.  Each block writes its columns of
+the record time and value arrays in place, and every other tally is an exact
+Python integer summed over replications, so the merged result is
+bit-identical for every block count, thread count and memory layout.
 
 Rank domain: inverse_cdf must be non-decreasing, so the maximum of the values
 is the transform of the maximum uniform, and a value can exceed it only if its
@@ -28,14 +38,20 @@ radius available), and the ratio R_j / I_j for the almost-sure limit 1.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .errors import IndexOutOfRange, RankTooLarge
 from .plan import as_validated, check_positions
 from . import exact as _exact
+
+# Fewest replications per block: below it a thread costs more than it saves.
+MIN_BLOCK = 2**14
 
 
 class _KeyedStreams:
@@ -44,26 +60,35 @@ class _KeyedStreams:
     Re-keying assigns the state of a freshly keyed Philox (key (master_seed,
     time_index), counter 0, empty buffer), so every draw equals that of
     Philox(key=[master_seed, time_index]) without building one per column.
+    Philox4x64 yields four doubles per counter step, so streams for a block
+    that starts at replication `first` (a multiple of 4) jump first // 4
+    steps after each re-key.
     """
 
-    def __init__(self, master_seed):
+    def __init__(self, master_seed, first=0):
         self._bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
         self._generator = np.random.Generator(self._bitgen)
+        # held in lists, which the state setter reads twice as fast as arrays
         self._state = self._bitgen.state
+        self._state["state"] = {k: v.tolist() for k, v in self._state["state"].items()}
+        self._state["buffer"] = self._state["buffer"].tolist()
         self._key = self._state["state"]["key"]
+        self._skip = first // 4
 
-    def uniforms(self, time_index, count=None, out=None):
-        """The first `count` uniforms of one stream (or fill `out`)."""
+    def _rekey(self, time_index, steps):
         self._key[1] = time_index
         self._bitgen.state = self._state
+        if steps:
+            self._bitgen.advance(steps)
+
+    def uniforms(self, time_index, count=None, out=None):
+        """`count` uniforms of one stream from replication `first` on (or fill `out`)."""
+        self._rekey(time_index, self._skip)
         return self._generator.random(count, out=out)
 
     def uniform_at(self, time_index, k):
-        """Element k of one stream.  Philox4x64 yields four doubles per
-        counter step, so the stream jumps k // 4 steps and draws the rest."""
-        self._key[1] = time_index
-        self._bitgen.state = self._state
-        self._bitgen.advance(k // 4)
+        """Element k of one stream: jump k // 4 steps and draw the rest."""
+        self._rekey(time_index, k // 4)
         return self._generator.random(k % 4 + 1)[-1]
 
 
@@ -191,14 +216,19 @@ class RunResult:
 
 
 class _Tally:
-    """Exact per-replication record tallies, updated from each position's hits."""
+    """Exact record tallies of one block of replications.
 
-    def __init__(self, n, r_max, inverse):
+    `times` and `values` are the block's columns of the run's output arrays
+    (views), so a block writes its record times and values in place.
+    """
+
+    def __init__(self, inverse, times, values):
         self.inverse = inverse
-        self.counts = np.zeros(n, dtype=np.int32)
-        self.times = np.zeros((r_max, n), dtype=np.int32)
-        self.values = np.full((r_max, n), np.nan)
+        self.counts = np.zeros(times.shape[1], dtype=np.int32)
+        self.times, self.values = times, values
         self.event_counts = []
+        self.checkpoint_sums = []
+        self.joint_count = None
         self.ties = self.count_sum = self.count_sq_sum = 0
 
     def position(self, t, candidate, running_max, compared):
@@ -231,44 +261,87 @@ class _Tally:
         return hits
 
 
-def run(config):
-    """Execute the full pass over plan positions.  See module docstring."""
-    vplan, horizon, n, joint, r_max, checkpoints = config.resolved()
-    streams = _KeyedStreams(int(config.master_seed))
-    tally = _Tally(n, r_max, config.density.inverse_cdf)
-    checkpoint_set = set(checkpoints)
-    joint_set = set(joint)
-    running_max = np.full(n, -np.inf)  # uniforms, like the candidates
-    candidate, previous = np.empty(n), np.empty(n)
+def _usable_cpus():
+    """CPUs this process may run on; affinity masks and cpusets count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _block_count(n):
+    """One block per usable CPU, but none shorter than MIN_BLOCK."""
+    return max(1, min(_usable_cpus(), n // MIN_BLOCK))
+
+
+def _blocks(n, count):
+    """At most `count` contiguous [lo, hi) ranges covering 0..n-1, each lo a
+    multiple of 4."""
+    step = 4 * -(-n // (4 * count))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _run_block(config, vplan, horizon, joint, checkpoints, times, values, bounds):
+    """The pass over plan positions for replications lo..hi-1; returns its _Tally."""
+    lo, hi = bounds
+    streams = _KeyedStreams(int(config.master_seed), lo)
+    tally = _Tally(config.density.inverse_cdf, times[:, lo:hi], values[:, lo:hi])
+    running_max = np.full(hi - lo, -np.inf)  # uniforms, like the candidates
+    candidate, previous = np.empty(hi - lo), np.empty(hi - lo)
     joint_hits = None
-    stats = []
 
     positions = zip(vplan.indices[:horizon], vplan.cardinalities, vplan.fresh_sets)
     for t, (time_index, cardinality, fresh_set) in enumerate(positions, start=1):
-        for idx in fresh_set:
-            np.maximum(running_max, streams.uniforms(idx, n), out=running_max)
+        for idx in fresh_set:  # candidate is free until its own draw below
+            np.maximum(running_max, streams.uniforms(idx, out=candidate), out=running_max)
         if t > 1:
             np.maximum(running_max, previous, out=running_max)
         streams.uniforms(time_index, out=candidate)
         hits = tally.position(t, candidate, running_max, cardinality > 1)
-        if t in joint_set:
+        if t in joint:
             joint_hits = hits if joint_hits is None else np.intersect1d(joint_hits, hits)
-        if t in checkpoint_set:
-            stats.append(CheckpointStat(t, time_index, tally.count_sum, tally.count_sq_sum))
+        if t in checkpoints:
+            tally.checkpoint_sums.append((tally.count_sum, tally.count_sq_sum))
         candidate, previous = previous, candidate
+    tally.joint_count = None if joint_hits is None else joint_hits.size
+    return tally
 
+
+def run(config):
+    """Execute the full pass over plan positions.  See module docstring."""
+    vplan, horizon, n, joint, r_max, checkpoints = config.resolved()
+    times = np.zeros((r_max, n), dtype=np.int32)
+    values = np.full((r_max, n), np.nan)
+    block = partial(_run_block, config, vplan, horizon, set(joint), set(checkpoints),
+                    times, values)
+    bounds = _blocks(n, _block_count(n))
+    if len(bounds) == 1:
+        parts = [block(bounds[0])]
+    else:
+        with ThreadPoolExecutor(len(bounds)) as pool:
+            parts = list(pool.map(block, bounds))
+
+    # every tally is a Python int, so the merge order cannot change a sum
+    def total(name):
+        return sum(getattr(part, name) for part in parts)
+
+    sums = zip(*(part.checkpoint_sums for part in parts))
+    stats = [
+        CheckpointStat(t, vplan.index(t), *map(sum, zip(*at)))
+        for t, at in zip(checkpoints, sums)
+    ]
     return RunResult(
         config=config,
         n=n,
         horizon=horizon,
-        event_counts=tuple(tally.event_counts),
-        joint_count=None if joint_hits is None else joint_hits.size,
-        count_sum=tally.count_sum,
-        count_sq_sum=tally.count_sq_sum,
-        tie_count=tally.ties,
+        event_counts=tuple(map(sum, zip(*(part.event_counts for part in parts)))),
+        joint_count=total("joint_count") if joint else None,
+        count_sum=total("count_sum"),
+        count_sq_sum=total("count_sq_sum"),
+        tie_count=total("ties"),
         checkpoint_stats=tuple(stats),
-        record_times={r: tally.times[r - 1] for r in range(1, r_max + 1)},
-        record_values={r: tally.values[r - 1] for r in range(1, r_max + 1)},
+        record_times={r: times[r - 1] for r in range(1, r_max + 1)},
+        record_values={r: values[r - 1] for r in range(1, r_max + 1)},
     )
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 import partial_records as pr
-from partial_records import cli
+from partial_records import cli, simulate
 from partial_records.cli import main
 
 
@@ -218,6 +218,45 @@ def test_simulate_deterministic_bytes(tmp_path, total6_file):
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     for name in ("freq.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_simulate_bytes_do_not_depend_on_the_block_split(tmp_path, monkeypatch, total6_file):
+    args = ["simulate", "--plan", total6_file, "--density", "smoothstep", "--n", "100000",
+            "--seed", "5", "--positions", "2,3", "--r", "2", "--grid", "0.25,0.5,0.75",
+            "--checkpoints", "auto"]
+    names = ("summary.json", "freq.csv", "ecdf.csv", "trajectory.csv")
+    outputs = []
+    for blocks in (1, 3):
+        monkeypatch.setattr(simulate, "_block_count", lambda n: blocks)
+        out_dir = tmp_path / f"blocks{blocks}"
+        assert main(args + ["--out", str(out_dir)]) == 0
+        outputs.append([(out_dir / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_simulate_inversion_failure_writes_nothing(tmp_path, capsys, monkeypatch, total6_file,
+                                                   blocks):
+    def inverse(u):
+        raise pr.InversionFailure("no inverse for this stream")
+
+    failing = dataclasses.replace(pr.uniform01(), inverse_cdf=inverse)
+    monkeypatch.setattr(cli, "_resolve_density", lambda token: failing)
+    monkeypatch.setattr(simulate, "_block_count", lambda n: blocks)
+    out_dir = tmp_path / "run"
+    argv = ["simulate", "--plan", total6_file, "--density", "uniform01", "--n", "10001",
+            "--seed", "1", "--out", str(out_dir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: no inverse for this stream\n"
+    assert list(out_dir.iterdir()) == []
+
+
+def test_import_loads_no_scipy_module():
+    code = ("import sys, partial_records, partial_records.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_discrete_sweep_outputs(tmp_path, capsys, total6_file):

@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import partial_records as pr
+from partial_records import simulate
 
 
 def _config(plan, density, n, seed, **kw):
@@ -66,7 +69,10 @@ def _value_domain_run(config):
 def test_rank_domain_run_equals_value_domain_reference(request, plan_name, density):
     plan = pr.chained_plan([1, 3, 5, 9]) if plan_name == "chained" else request.getfixturevalue(plan_name)
     cfg = _config(plan, density, 20_000, 41, joint_positions=(1, 2, 3), r_max=2, checkpoints=(1, 3))
-    result, ref = pr.run(cfg), _value_domain_run(cfg)
+    _assert_equals_reference(pr.run(cfg), _value_domain_run(cfg))
+
+
+def _assert_equals_reference(result, ref):
     assert result.event_counts == ref["event_counts"]
     assert result.joint_count == ref["joint_count"]
     assert (result.count_sum, result.count_sq_sum) == (ref["count_sum"], ref["count_sq_sum"])
@@ -75,6 +81,128 @@ def test_rank_domain_run_equals_value_domain_reference(request, plan_name, densi
         assert result.times_of_record(r).tobytes() == ref["times"][r].tobytes()
         assert result.values_of_record(r).tobytes() == ref["values"][r].tobytes()
     assert result.tie_count <= ref["ties"]
+
+
+def _force_blocks(monkeypatch, count):
+    monkeypatch.setattr(simulate, "_block_count", lambda n: count)
+
+
+@pytest.mark.parametrize("n", [5, 10_001])  # n < 4 * blocks; n not a multiple of 4
+@pytest.mark.parametrize("blocks", [1, 2, 3, 7])
+@pytest.mark.parametrize("plan_name", ["total5", "partial_plan", "chained"])
+@pytest.mark.parametrize(
+    "density",
+    [pr.smoothstep_density(), pr.power_density(2), pr.triangular_density(), _two_point()],
+    ids=lambda d: d.name,
+)
+def test_block_split_equals_value_domain_reference(
+    request, monkeypatch, plan_name, density, blocks, n
+):
+    plan = pr.chained_plan([1, 3, 5, 9]) if plan_name == "chained" else request.getfixturevalue(plan_name)
+    cfg = _config(plan, density, n, 41, joint_positions=(1, 2, 3), r_max=2, checkpoints=(1, 3))
+    _force_blocks(monkeypatch, blocks)
+    _assert_equals_reference(pr.run(cfg), _value_domain_run(cfg))
+
+
+def _fields(result):
+    """Every RunResult field, with arrays as their bytes."""
+    out = {}
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, dict):
+            value = {key: (array.dtype.str, array.tobytes()) for key, array in value.items()}
+        out[f.name] = value
+    return out
+
+
+def test_block_count_leaves_every_field_of_random_plans_unchanged(monkeypatch, rng):
+    densities = (pr.smoothstep_density(), _two_point())
+    for case in range(60):
+        vplan = pr.as_validated(pr.random_compatible_plan(rng, max_index=int(rng.integers(2, 30))))
+        n = int(rng.choice([1, 3, 4, 5, 1023, 4097]))
+        cfg = _config(vplan, densities[case % 2], n, case,
+                      joint_positions=tuple(sorted({1, vplan.length})),
+                      r_max=min(2, vplan.length), checkpoints=(vplan.length,))
+        _force_blocks(monkeypatch, 1)
+        single = _fields(pr.run(cfg))
+        _force_blocks(monkeypatch, 3)
+        assert _fields(pr.run(cfg)) == single, (case, vplan.indices, n)
+
+
+def test_more_blocks_than_cores_with_fast_thread_switching(monkeypatch, partial_plan):
+    # blocks write disjoint columns of shared arrays; a lost or misplaced
+    # write under frequent switches would change some field
+    cfg = _config(partial_plan, pr.smoothstep_density(), 7 * 4096 + 3, 23,
+                  joint_positions=(1, 3), r_max=3, checkpoints=(2, 3))
+    _force_blocks(monkeypatch, 1)
+    single = _fields(pr.run(cfg))
+    _force_blocks(monkeypatch, 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        for _ in range(5):
+            assert _fields(pr.run(cfg)) == single
+        assert time.monotonic() - started < 60
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_blocks_tile_the_replications_from_multiples_of_4():
+    for n in (1, 3, 4, 5, 1023, 4097, 200_003):
+        for count in (1, 2, 3, 7):
+            bounds = simulate._blocks(n, count)
+            assert 1 <= len(bounds) <= count
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(bounds, bounds[1:]))
+            assert all(lo % 4 == 0 and lo < hi for lo, hi in bounds)
+    assert len(simulate._blocks(10_001, 7)) == 7
+
+
+def test_block_count_follows_usable_cpus_and_min_block(monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    assert simulate._block_count(2 * simulate.MIN_BLOCK - 1) == 1
+    assert simulate._block_count(2 * simulate.MIN_BLOCK) == 2
+    assert simulate._block_count(10 * simulate.MIN_BLOCK) == 3
+    assert simulate._block_count(1) == 1
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 5)
+    assert simulate._usable_cpus() == 5
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    assert simulate._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_replay_agrees_with_batch_at_block_boundaries(monkeypatch, total5, blocks):
+    s = pr.smoothstep_density()
+    n = 10_001
+    cfg = _config(total5, s, n, 19, r_max=5)
+    _force_blocks(monkeypatch, blocks)
+    result = pr.run(cfg)
+    boundaries = [lo for lo, _hi in simulate._blocks(n, blocks)[1:]]
+    assert len(boundaries) == blocks - 1
+    for k in sorted({k for lo in boundaries for k in (lo - 1, lo, lo + 1)}):
+        rep = pr.replay(cfg, k)
+        batch = {int(result.times_of_record(r)[k]): result.values_of_record(r)[k]
+                 for r in range(1, 6) if result.times_of_record(r)[k] > 0}
+        assert set(batch) == {t for t, b in enumerate(rep.indicators, start=1) if b}, k
+        for t, value in batch.items():
+            assert value == rep.draws[total5.index(t)], (k, t)
+
+
+def _failing_inverse(u):
+    raise pr.InversionFailure("no inverse for this stream")
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_inversion_failure_in_a_block_reaches_the_caller(monkeypatch, total5, blocks):
+    density = dataclasses.replace(pr.uniform01(), inverse_cdf=_failing_inverse)
+    _force_blocks(monkeypatch, blocks)
+    with pytest.raises(pr.InversionFailure, match="^no inverse for this stream$"):
+        pr.run(_config(total5, density, 10_001, 1))
 
 
 def test_run_transforms_only_record_hits():
