@@ -90,12 +90,12 @@ from .simulate import (
     SimConfig,
     TrajectoryPoint,
     column,
-    dkw_radius,
     record_value_ecdf,
     replay,
     run,
     strong_law_trajectory,
 )
+from .gates import dkw_radius
 from .discrete import (
     DiscreteModel,
     LemmaDeviation,

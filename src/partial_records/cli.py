@@ -3,7 +3,8 @@
 Subcommands: validate, exact, simulate, discrete-sweep, oracle-check.
 Exit codes: 0 success (and all statistical gates passed), 1 domain failure
 (validation violations, gate misses, oracle mismatches, numeric
-non-convergence), 2 usage, file, or parse errors.
+non-convergence), 2 usage, file, or parse errors.  simulate's gates (the
+gates module) share one family false-fail bound, 2 Phi(-z), at any plan length.
 
 Output files are written with fixed column order, '\n' line endings, and
 17-significant-digit floats, so identical inputs produce identical bytes.
@@ -22,6 +23,7 @@ from fractions import Fraction
 from . import discrete as _discrete
 from . import distributions as _distributions
 from . import exact as _exact
+from . import gates as _gates
 from . import oracle as _oracle
 from . import plan as _plan
 from . import simulate as _simulate
@@ -206,15 +208,65 @@ def cmd_simulate(args):
         z=args.z,
     )
     result = _simulate.run(config)
+    moments = _exact.record_count_moments(vplan, vplan.index(result.horizon))
+    summary = {
+        "schema": SCHEMA_VERSION,
+        "command": "simulate",
+        "plan_hash": _plan.plan_hash(vplan),
+        "density": density.name,
+        "n": result.n,
+        "seed": args.seed,
+        "horizon": result.horizon,
+        "z": args.z,
+        "tie_count": result.tie_count,
+        "count": {
+            "mean": result.count_mean,
+            "mean_target": moments.mean_float,
+            "variance": result.count_variance,
+            "variance_target": moments.variance_float,
+        },
+    }
 
-    gates = []
+    joint_target = ecdf = None
+    if joint:
+        joint_target = _exact.joint_record_prob(vplan, joint)
+        summary["joint"] = {
+            "positions": list(joint),
+            "hits": result.joint_count,
+            "freq": result.joint_frequency,
+            "target": float(joint_target),
+            "target_fraction": f"{joint_target.numerator}/{joint_target.denominator}",
+        }
+
+    if grid:
+        curve = _simulate.record_value_ecdf(result, args.r, grid)
+        intervals = [
+            _exact.record_value_cdf(
+                vplan, args.r, x, density, t_max=result.horizon, exponent=args.exponent
+            )
+            for x in curve.grid
+        ]
+        ecdf = (curve.ecdf, [i.lower for i in intervals], [i.upper for i in intervals])
+        _write_csv(
+            os.path.join(args.out, "ecdf.csv"),
+            ["x", "ecdf", "series_lower", "series_upper"],
+            [
+                [_fmt(x), _fmt(value), _fmt(i.lower), _fmt(i.upper)]
+                for x, value, i in zip(curve.grid, curve.ecdf, intervals)
+            ],
+        )
+        summary["record_value"] = {
+            "r": args.r,
+            "exponent": args.exponent,
+            "grid_points": len(grid),
+            "no_record_fraction": curve.no_record_fraction,
+        }
+
+    p_values, passes, gates = _gates.simulation_gates(result, args.z, moments, joint_target, ecdf)
     freq_rows = []
     for t in range(1, result.horizon + 1):
-        p = Fraction(1, vplan.cardinality(t))
+        target = 1 / vplan.cardinality(t)
         freq = result.event_frequency(t)
-        radius = args.z * math.sqrt(float(p) * (1.0 - float(p)) / result.n)
-        ok = abs(freq - float(p)) <= radius
-        gates.append(ok)
         freq_rows.append(
             [
                 t,
@@ -223,10 +275,10 @@ def cmd_simulate(args):
                 result.event_counts[t - 1],
                 result.n,
                 _fmt(freq),
-                _fmt(float(p)),
-                _fmt(abs(freq - float(p))),
-                _fmt(radius),
-                int(ok),
+                _fmt(target),
+                _fmt(abs(freq - target)),
+                _fmt(p_values[t - 1]),
+                int(passes[t - 1]),
             ]
         )
     _write_csv(
@@ -240,88 +292,11 @@ def cmd_simulate(args):
             "freq",
             "target",
             "abs_error",
-            "ci_radius",
+            "p_value",
             "pass",
         ],
         freq_rows,
     )
-
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "command": "simulate",
-        "plan_hash": _plan.plan_hash(vplan),
-        "density": density.name,
-        "n": result.n,
-        "seed": args.seed,
-        "horizon": result.horizon,
-        "z": args.z,
-        "tie_count": result.tie_count,
-    }
-
-    moments = _exact.record_count_moments(vplan, vplan.index(result.horizon))
-    mean_radius = args.z * math.sqrt(moments.variance_float / result.n)
-    mean_ok = abs(result.count_mean - moments.mean_float) <= mean_radius
-    gates.append(mean_ok)
-    summary["count"] = {
-        "mean": result.count_mean,
-        "mean_target": moments.mean_float,
-        "mean_ci_radius": mean_radius,
-        "mean_pass": mean_ok,
-        "variance": result.count_variance,
-        "variance_target": moments.variance_float,
-    }
-
-    if joint:
-        target = _exact.joint_record_prob(vplan, joint)
-        freq = result.joint_frequency
-        radius = args.z * math.sqrt(float(target) * (1.0 - float(target)) / result.n)
-        ok = abs(freq - float(target)) <= radius
-        gates.append(ok)
-        summary["joint"] = {
-            "positions": list(joint),
-            "hits": result.joint_count,
-            "freq": freq,
-            "target": float(target),
-            "target_fraction": f"{target.numerator}/{target.denominator}",
-            "ci_radius": radius,
-            "pass": ok,
-        }
-
-    if grid:
-        curve = _simulate.record_value_ecdf(result, args.r, grid)
-        radius = _simulate.dkw_radius(result.n)
-        rows = []
-        ecdf_ok = True
-        for x, value in zip(curve.grid, curve.ecdf):
-            interval = _exact.record_value_cdf(
-                vplan, args.r, x, density, t_max=result.horizon, exponent=args.exponent
-            )
-            ok = interval.lower - radius <= value <= interval.upper + radius
-            ecdf_ok &= ok
-            rows.append(
-                [
-                    _fmt(x),
-                    _fmt(value),
-                    _fmt(interval.lower),
-                    _fmt(interval.upper),
-                    _fmt(radius),
-                    int(ok),
-                ]
-            )
-        _write_csv(
-            os.path.join(args.out, "ecdf.csv"),
-            ["x", "ecdf", "series_lower", "series_upper", "dkw_radius", "pass"],
-            rows,
-        )
-        gates.append(ecdf_ok)
-        summary["record_value"] = {
-            "r": args.r,
-            "exponent": args.exponent,
-            "grid_points": len(grid),
-            "dkw_radius": radius,
-            "no_record_fraction": curve.no_record_fraction,
-            "pass": bool(ecdf_ok),
-        }
 
     if checkpoints:
         points = _simulate.strong_law_trajectory(result)
@@ -346,7 +321,8 @@ def cmd_simulate(args):
             "final_ci_radius": points[-1].ci_radius,
         }
 
-    summary["pass"] = bool(all(gates))
+    summary["gates"] = [vars(g) for g in gates]
+    summary["pass"] = all(g.passed for g in gates)
     _write_json(os.path.join(args.out, "summary.json"), summary)
     print(f"{'PASS' if summary['pass'] else 'FAIL'} -> {args.out}")
     return 0 if summary["pass"] else 1
@@ -383,25 +359,20 @@ def cmd_discrete_sweep(args):
         ],
     )
 
-    lemma_rows = []
-    for m in m_values:
-        for r in r_values:
-            for name, dev in sorted(_discrete.lemma_checks(density, m, r).items()):
-                lemma_rows.append(
-                    [name, r, m, _fmt(dev.deviation), _fmt(dev.scaled), dev.argmax_l]
-                )
     _write_csv(
         os.path.join(args.out, "lemma.csv"),
         ["relation", "r", "m", "deviation", "scaled", "argmax_l"],
-        lemma_rows,
+        [
+            [name, r, m, _fmt(dev.deviation), _fmt(dev.scaled), dev.argmax_l]
+            for m in m_values
+            for r in r_values
+            for name, dev in sorted(_discrete.lemma_checks(density, m, r).items())
+        ],
     )
 
     errors = [float(row.abs_error) for row in rows]
-    tiny = all(e < 1e-14 for e in errors)
-    if tiny or len(rows) < 2:
-        slope = None
-        rate_ok = True
-    else:
+    slope = None
+    if len(rows) >= 2 and not all(e < 1e-14 for e in errors):
         xs = [math.log(row.m) for row in rows]
         ys = [math.log(max(e, 1e-300)) for e in errors]
         xbar = sum(xs) / len(xs)
@@ -409,7 +380,7 @@ def cmd_discrete_sweep(args):
         slope = sum((a - xbar) * (b - ybar) for a, b in zip(xs, ys)) / sum(
             (a - xbar) ** 2 for a in xs
         )
-        rate_ok = slope <= -0.7
+    rate_ok = slope is None or slope <= -0.7
 
     summary = {
         "schema": SCHEMA_VERSION,
@@ -436,21 +407,19 @@ def cmd_discrete_sweep(args):
 def cmd_oracle_check(args):
     vplan = _plan.as_validated(_plan.load_plan_file(args.plan))
     table = _oracle.exact_joint_table(vplan, max_indices=args.max_index)
-    mismatches = 0
     rows = []
     for subset in sorted(table, key=lambda s: (len(s), s)):
         target = _exact.joint_record_prob(vplan, subset)
         got = table[subset]
-        ok = got == target
-        mismatches += 0 if ok else 1
         rows.append(
             {
                 "positions": list(subset),
                 "product": f"{target.numerator}/{target.denominator}",
                 "enumerated": f"{got.numerator}/{got.denominator}",
-                "match": ok,
+                "match": got == target,
             }
         )
+    mismatches = sum(not row["match"] for row in rows)
     out = {
         "schema": SCHEMA_VERSION,
         "command": "oracle-check",
@@ -508,7 +477,7 @@ def build_parser():
         choices=_exact.EXPONENT_CONVENTIONS,
         default="cardinality",
     )
-    p.add_argument("--z", type=float, default=4.0, help="gate half-width in sigmas")
+    p.add_argument("--z", type=float, default=4.0, help="gates' false-fail bound 2 Phi(-z)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -65,11 +65,6 @@ class DiscreteModel:
             raise IndexOutOfRange(f"atom {l} not in 0..{self.top_index}")
         return Fraction(l, self.m) if self.exact else l / self.m
 
-    def mass(self, l):
-        if not 0 <= l <= self.top_index:
-            raise IndexOutOfRange(f"atom {l} not in 0..{self.top_index}")
-        return self.masses[l]
-
     def below(self, l):
         """G_m(l): total mass strictly below atom l, for l in 0..top_index+1."""
         if not 0 <= l <= self.top_index + 1:
@@ -203,10 +198,6 @@ class LemmaDeviation:
     argmax_l: int
 
     @property
-    def deviation_float(self):
-        return float(self.deviation)
-
-    @property
     def scaled(self):
         """m * deviation, the quantity the O(1/m) bound keeps bounded."""
         return self.m * self.deviation
@@ -282,16 +273,12 @@ def _point_numerators(plan, positions, model):
         g, big_g, scale = model.masses, model.prefix, 1
     atoms = model.atom_count
 
-    level = None  # cumulative of previous level's point masses, strictly below
+    level = [1] * atoms  # previous level's point masses strictly below l; 1 before the first
     prev_card = 0
-    point = None
     den = 1
     for t in positions:
         gap = vplan.cardinality(t) - prev_card - 1
-        if level is None:
-            point = [big_g[l] ** gap * g[l] for l in range(atoms)]
-        else:
-            point = [big_g[l] ** gap * g[l] * level[l] for l in range(atoms)]
+        point = [big_g[l] ** gap * g[l] * level[l] for l in range(atoms)]
         level = list(accumulate(point, initial=_zero(model.exact)))
         den *= scale ** (gap + 1)
         prev_card = vplan.cardinality(t)

@@ -237,9 +237,7 @@ def truncated_ramp_density(cap=Fraction(1, 2)):
         return (cap_frac * cap_frac / 2 + cap_frac * (x - cap_frac)) / z_frac
 
     return DensitySpec(
-        name=f"truncated_ramp({cap_frac.numerator}/{cap_frac.denominator})"
-        if cap_frac.denominator > 1
-        else f"truncated_ramp({cap_frac.numerator})",
+        name=f"truncated_ramp({cap_frac})",
         support_upper=1.0,
         pdf=_masked(1.0, pdf_inside),
         cdf=_clipped_cdf(1.0, cdf_inside),
@@ -268,29 +266,21 @@ def builtin(name):
             except (ValueError, ZeroDivisionError) as exc:
                 raise BadParams(f"bad parameter {piece.strip()!r} in {name!r}") from exc
 
-    if family == "uniform01":
-        if args:
-            raise BadParams("uniform01 takes no parameters")
-        return uniform01()
-    if family == "power":
-        if len(args) != 1:
-            raise BadParams("power takes exactly one parameter k")
-        return power_density(args[0])
-    if family == "smoothstep":
-        if args:
-            raise BadParams("smoothstep takes no parameters")
-        return smoothstep_density()
-    if family == "triangular":
-        if args:
-            raise BadParams("triangular takes no parameters")
-        return triangular_density()
-    if family == "truncated_ramp":
-        if len(args) > 1:
-            raise BadParams("truncated_ramp takes at most one parameter cap")
-        return truncated_ramp_density(args[0]) if args else truncated_ramp_density()
-    raise UnknownFamily(
-        f"unknown density family {family!r}; built-ins: {', '.join(BUILTIN_FAMILIES)}"
-    )
+    factories = {  # family: (factory, fewest and most parameters)
+        "uniform01": (uniform01, 0, 0),
+        "power": (power_density, 1, 1),
+        "smoothstep": (smoothstep_density, 0, 0),
+        "triangular": (triangular_density, 0, 0),
+        "truncated_ramp": (truncated_ramp_density, 0, 1),
+    }
+    if family not in factories:
+        raise UnknownFamily(
+            f"unknown density family {family!r}; built-ins: {', '.join(BUILTIN_FAMILIES)}"
+        )
+    factory, fewest, most = factories[family]
+    if not fewest <= len(args) <= most:
+        raise BadParams(f"{family} takes {fewest} to {most} parameters, got {len(args)}")
+    return factory(*args)
 
 
 def sample(spec, rng, count):

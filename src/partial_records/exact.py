@@ -80,10 +80,7 @@ def joint_record_prob(plan, positions):
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
-    prob = Fraction(1)
-    for t in positions:
-        prob /= vplan.cardinality(t)
-    return prob
+    return Fraction(1, math.prod(vplan.cardinality(t) for t in positions))
 
 
 def joint_record_prob_bounded(plan, positions, x, density, exponent="cardinality"):
@@ -185,8 +182,7 @@ def record_time_pmf(plan, r, t_max=None):
         raise RankTooLarge(f"rank {r} cannot occur within {t_max} positions")
 
     # state[s] = P(exactly s records so far, s < r)
-    state = [Fraction(0)] * r
-    state[0] = Fraction(1)
+    state = [Fraction(1)] + [Fraction(0)] * (r - 1)
     entries = []
     for t in range(1, t_max + 1):
         p = Fraction(1, vplan.cardinality(t))

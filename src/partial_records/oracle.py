@@ -85,11 +85,19 @@ def _event_masks(vplan, positions, rel, values):
     for t in positions:
         cand = values[:, col[vplan.index(t)]]
         members = [col[e] for e in sorted(vplan.comparison_set(t))]
-        if members:
-            masks.append(cand > values[:, members].max(axis=1))
-        else:
-            masks.append(np.ones(values.shape[0], dtype=bool))
+        # ranks and atoms are >= 0, so an empty comparison set is always beaten
+        masks.append(cand > values[:, members].max(axis=1, initial=-1))
     return masks
+
+
+def _ordering_masks(vplan, positions, max_indices):
+    """The event masks over all k! orderings of the k relevant indices, and k!."""
+    rel = relevant_indices(vplan, positions)
+    if len(rel) > max_indices:
+        raise TooManyIndices(
+            f"{len(rel)} relevant indices exceeds requested cap {max_indices}"
+        )
+    return _event_masks(vplan, positions, rel, _perm_table(len(rel))), math.factorial(len(rel))
 
 
 def exact_joint(plan, query, max_indices=_PERM_LIMIT):
@@ -106,18 +114,11 @@ def exact_joint(plan, query, max_indices=_PERM_LIMIT):
     else:
         terms = EventQuery.positive(query).terms
     vplan = as_validated(plan)
-    positions = tuple(term.position for term in terms)
-    rel = relevant_indices(vplan, positions)
-    if len(rel) > max_indices:
-        raise TooManyIndices(
-            f"{len(rel)} relevant indices exceeds requested cap {max_indices}"
-        )
-    perms = _perm_table(len(rel))
-    masks = _event_masks(vplan, positions, rel, perms)
-    combined = np.ones(perms.shape[0], dtype=bool)
+    masks, total = _ordering_masks(vplan, tuple(term.position for term in terms), max_indices)
+    combined = np.ones(total, dtype=bool)
     for term, mask in zip(terms, masks):
         combined &= ~mask if term.negated else mask
-    return Fraction(int(np.count_nonzero(combined)), math.factorial(len(rel)))
+    return Fraction(int(np.count_nonzero(combined)), total)
 
 
 def exact_joint_table(plan, positions=None, max_indices=_PERM_LIMIT):
@@ -131,17 +132,11 @@ def exact_joint_table(plan, positions=None, max_indices=_PERM_LIMIT):
     if positions is None:
         positions = tuple(range(1, vplan.length + 1))
     positions = check_positions(vplan, positions)
-    rel = relevant_indices(vplan, positions)
-    if len(rel) > max_indices:
-        raise TooManyIndices(
-            f"{len(rel)} relevant indices exceeds requested cap {max_indices}"
-        )
-    perms = _perm_table(len(rel))
-    masks = _event_masks(vplan, positions, rel, perms)
+    masks, total = _ordering_masks(vplan, positions, max_indices)
 
     # bits <= len(rel) <= _PERM_LIMIT, so every code fits in 16 bits
     bits = len(positions)
-    code = np.zeros(perms.shape[0], dtype=np.uint16)
+    code = np.zeros(total, dtype=np.uint16)
     for b, mask in enumerate(masks):
         code |= mask.astype(np.uint16) << b
     counts = np.bincount(code, minlength=1 << bits).astype(np.int64)
@@ -151,7 +146,6 @@ def exact_joint_table(plan, positions=None, max_indices=_PERM_LIMIT):
             if not m & bit:
                 counts[m] += counts[m | bit]
 
-    total = math.factorial(len(rel))
     table = {}
     for m in range(1, 1 << bits):
         subset = tuple(positions[b] for b in range(bits) if m >> b & 1)
@@ -182,12 +176,10 @@ def quadrature_bounded(plan, positions, x, density, tol=1e-10, max_cells=1 << 16
         z = np.linspace(0.0, upper, cells + 1)
         fs = np.asarray(density.pdf(z), dtype=float)
         cdfs = np.asarray(density.cdf(z), dtype=float)
-        level = None
+        level = 1.0
         prev_card = 0
         for c in cards:
-            integrand = np.power(cdfs, c - prev_card - 1) * fs
-            if level is not None:
-                integrand *= level
+            integrand = np.power(cdfs, c - prev_card - 1) * fs * level
             level = cumulative_simpson(integrand, x=z, initial=0.0)
             prev_card = c
         value = float(level[-1])
@@ -234,12 +226,7 @@ def exhaustive_discrete_joint(plan, positions, model, max_outcomes=4_000_000):
             prods = np.prod(warr[vals], axis=1)
             return Fraction(int(prods[mask].sum()), denom**k)
         # weights too large for int64 products: fall back to exact big ints
-        total = 0
-        for row in vals[mask]:
-            term = 1
-            for l in row:
-                term *= weights[l]
-            total += term
+        total = sum(math.prod(weights[l] for l in row) for row in vals[mask].tolist())
         return Fraction(total, denom**k)
 
     weights = np.array([float(mass) for mass in model.masses])

@@ -368,17 +368,12 @@ def random_compatible_plan(rng, max_index=8, max_positions=None):
     indices = tuple(int(n) for n in sorted(chosen))
 
     sets = []
-    prev_set = frozenset()
-    prev_idx = None
+    base = frozenset()  # the forced part of the next set
     for n in indices:
-        base = set(prev_set)
-        if prev_idx is not None:
-            base.add(prev_idx)
         pool = [e for e in range(1, n) if e not in base]
         extras = {e for e in pool if rng.random() < 0.4}
-        cur = frozenset(base | extras)
-        sets.append(cur)
-        prev_set, prev_idx = cur, n
+        sets.append(base | extras)
+        base = sets[-1] | {n}
     return ComparisonPlan(indices, tuple(sets))
 
 

@@ -29,10 +29,8 @@ candidates whose uniform equals the running maximum plus the hits whose value
 equals it (a non-injective inverse); equal values at a smaller uniform never
 change an indicator and are not counted.
 
-Guarantees exposed for gating: per-position frequencies against 1/c(n_t),
-joint frequencies against the rational product, count mean/variance against
-the exact moments, record-value sub-ecdf against the truncated series (DKW
-radius available), and the ratio R_j / I_j for the almost-sure limit 1.
+The tallies are what `gates` tests against the exact laws; the ratio
+R_j / I_j of `strong_law_trajectory` tends to 1 almost surely.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ import numpy as np
 
 from .errors import IndexOutOfRange, RankTooLarge
 from .plan import as_validated, check_positions
-from . import exact as _exact
 
 # Fewest replications per block: below it a thread costs more than it saves.
 MIN_BLOCK = 2**14
@@ -100,11 +97,6 @@ def column(master_seed, time_index, count, density):
     """
     u = _KeyedStreams(master_seed).uniforms(time_index, int(count))
     return np.asarray(density.inverse_cdf(u), dtype=float)
-
-
-def dkw_radius(n, alpha=1e-6):
-    """Two-sided DKW envelope half-width for an n-sample ecdf."""
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import csv
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -251,12 +253,82 @@ def test_simulate_inversion_failure_writes_nothing(tmp_path, capsys, monkeypatch
     assert list(out_dir.iterdir()) == []
 
 
-def test_import_loads_no_scipy_module():
+def test_import_loads_no_scipy_module(tmp_path, total6_file):
+    # importing the package, then a simulate on a built-in density with every gate
+    argv = ["simulate", "--plan", total6_file, "--density", "smoothstep", "--n", "1000",
+            "--seed", "1", "--positions", "2,3", "--r", "2", "--grid", "0.5",
+            "--out", str(tmp_path / "run")]
     code = ("import sys, partial_records, partial_records.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            f"print(scipy()); print(partial_records.cli.main({argv!r})); print(scipy())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines() == ["[]", f"PASS -> {tmp_path / 'run'}", "0", "[]"]
+
+
+@pytest.mark.parametrize("j, n, seed", [(1500, 2000, 5), (3000, 20_000, 5), (3000, 20_000, 6)])
+def test_simulate_passes_correct_long_plans(tmp_path, capsys, j, n, seed):
+    # the normal-approximation 4-sigma gate without a multiplicity correction
+    # failed each of these correct runs at one position
+    plan_file = tmp_path / "plan.json"
+    pr.save_plan_file(pr.total_comparison_plan(j), plan_file)
+    out_dir = tmp_path / "run"
+    argv = ["simulate", "--plan", str(plan_file), "--density", "smoothstep", "--n", str(n),
+            "--seed", str(seed), "--out", str(out_dir)]
+    assert main(argv) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["pass"] is True
+    assert [g["name"] for g in summary["gates"]] == ["positions", "count_mean"]
+
+
+def test_simulate_reports_one_gates_list(tmp_path, total6_file):
+    out_dir = tmp_path / "run"
+    argv = ["simulate", "--plan", total6_file, "--density", "smoothstep", "--n", "20000",
+            "--seed", "3", "--positions", "2,3", "--r", "2", "--grid", "0.25,0.5",
+            "--z", "3", "--out", str(out_dir)]
+    assert main(argv) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    level = 1 - (1 - math.erfc(3 / math.sqrt(2))) ** (1 / 9)  # 6 positions + 3 tests
+    assert [g["name"] for g in summary["gates"]] == [
+        "positions", "count_mean", "joint", "record_value_ecdf"
+    ]
+    for g in summary["gates"]:
+        assert set(g) == {"name", "deviation", "p_value", "level", "worst_position", "passed"}
+        assert g["level"] == pytest.approx(level, rel=1e-12)
+        assert g["passed"] is (g["p_value"] > g["level"])
+    assert set(summary["count"]) == {"mean", "mean_target", "variance", "variance_target"}
+    assert "pass" not in summary["joint"] and "ci_radius" not in summary["joint"]
+    assert "pass" not in summary["record_value"]
+    with open(out_dir / "freq.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["position", "time_index", "cardinality", "hits", "n", "freq",
+                             "target", "abs_error", "p_value", "pass"]
+    worst = min(rows, key=lambda row: float(row["p_value"]))
+    assert int(worst["position"]) == summary["gates"][0]["worst_position"]
+    assert float(worst["p_value"]) == summary["gates"][0]["p_value"]
+    assert (out_dir / "ecdf.csv").read_text().splitlines()[0] == "x,ecdf,series_lower,series_upper"
+
+
+def test_simulate_fails_a_run_that_misses_the_law(tmp_path, capsys, monkeypatch, total6_file):
+    run = simulate.run
+
+    def one_extra_record(config):  # position 3 off by 3 % of n, 9 of its sd
+        result = run(config)
+        counts = list(result.event_counts)
+        counts[2] += 3 * result.n // 100
+        return dataclasses.replace(result, event_counts=tuple(counts))
+
+    monkeypatch.setattr(simulate, "run", one_extra_record)
+    out_dir = tmp_path / "run"
+    argv = ["simulate", "--plan", total6_file, "--density", "uniform01", "--n", "20000",
+            "--seed", "1", "--out", str(out_dir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == f"FAIL -> {out_dir}\n"
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["pass"] is False
+    assert (summary["gates"][0]["passed"], summary["gates"][0]["worst_position"]) == (False, 3)
+    with open(out_dir / "freq.csv", newline="") as fh:
+        assert [row["pass"] for row in csv.DictReader(fh)] == ["1", "1", "0", "1", "1", "1"]
 
 
 def test_discrete_sweep_outputs(tmp_path, capsys, total6_file):
