@@ -30,7 +30,6 @@ from .plan import (
     ComparisonPlan,
     EventQuery,
     EventTerm,
-    PlanBuilder,
     ValidatedPlan,
     ValidationReport,
     Violation,
@@ -61,12 +60,10 @@ from .distributions import (
     verify_density,
 )
 from .exact import (
-    EULER_GAMMA,
     EXPONENT_CONVENTIONS,
     CdfInterval,
     RecordCountStats,
     RecordTimePmf,
-    asymptotic_gap_to_log,
     cumulative_intensity,
     harmonic_number,
     joint_record_prob,
@@ -95,7 +92,6 @@ from .simulate import (
     run,
     strong_law_trajectory,
 )
-from .gates import dkw_radius
 from .discrete import (
     DiscreteModel,
     LemmaDeviation,

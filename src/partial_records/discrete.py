@@ -60,17 +60,6 @@ class DiscreteModel:
     def top_index(self):
         return len(self.masses) - 1
 
-    def atom_value(self, l):
-        if not 0 <= l <= self.top_index:
-            raise IndexOutOfRange(f"atom {l} not in 0..{self.top_index}")
-        return Fraction(l, self.m) if self.exact else l / self.m
-
-    def below(self, l):
-        """G_m(l): total mass strictly below atom l, for l in 0..top_index+1."""
-        if not 0 <= l <= self.top_index + 1:
-            raise IndexOutOfRange(f"l={l} not in 0..{self.top_index + 1}")
-        return self.prefix[l]
-
 
 def _zero(exact):
     """The empty sum of the discrete layer: int 0 on exact grids, else 0.0."""

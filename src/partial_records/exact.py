@@ -24,8 +24,6 @@ from fractions import Fraction
 from .errors import IndexOutOfRange, RankTooLarge
 from .plan import as_validated, check_positions
 
-EULER_GAMMA = 0.5772156649015329
-
 EXPONENT_CONVENTIONS = ("cardinality", "time_index")
 
 
@@ -232,8 +230,3 @@ def record_value_cdf(plan, r, x, density, t_max=None, exponent="cardinality"):
         tail = 0.0
     upper = min(1.0, lower + tail)
     return CdfInterval(lower=lower, upper=upper)
-
-
-def asymptotic_gap_to_log(j):
-    """H_j - ln j, which decreases to the Euler-Mascheroni constant."""
-    return float(harmonic_number(j)) - math.log(j)

@@ -48,11 +48,6 @@ def binomial_p_values(hits, n, p):
     return np.minimum(1.0, 2.0 * np.exp(-n * kl))
 
 
-def dkw_radius(n, alpha=1e-6):
-    """Two-sided DKW envelope half-width for an n-sample ecdf."""
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
-
-
 def simulation_gates(result, z, moments, joint_target=None, ecdf=None):
     """A run's gates, and each position's p-value and verdict.
 

@@ -9,10 +9,10 @@ check:
   the event holds) / k!, an exact rational.
 
 * quadrature_bounded integrates the defining recursion for joint record
-  events with a value cutoff: level k conditions on the value z at the k-th
-  selected position, multiplies the density f(z) by F(z) raised to the
-  number of additional comparisons that must fall below z, and integrates
-  the previous level against it.
+  events whose last value falls below x: level k conditions on the value z
+  at the k-th selected position, multiplies the density f(z) by F(z) raised
+  to the number of additional comparisons that must fall below z, and
+  integrates the previous level against it.
 
 * exhaustive_discrete_joint enumerates every outcome of the relevant atoms
   of a discrete model and adds up the probabilities of outcomes where all
@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    BadParams,
     NegativeCutoff,
     QuadratureFailure,
     StateSpaceTooLarge,
@@ -103,20 +104,16 @@ def _ordering_masks(vplan, positions, max_indices):
 def exact_joint(plan, query, max_indices=_PERM_LIMIT):
     """Exact probability of a conjunction of (possibly negated) record events.
 
-    query is an EventQuery without a cutoff (use quadrature_bounded for
-    cutoffs).  Enumerates orderings of the relevant indices, so the union of
-    the involved comparison sets must stay small.
+    query is an EventQuery or a sequence of positions.  Enumerates orderings
+    of the relevant indices, so the union of the involved comparison sets must
+    stay small.
     """
-    if isinstance(query, EventQuery):
-        if query.cutoff is not None:
-            raise ValueError("cutoff queries need a density; use quadrature_bounded")
-        terms = query.terms
-    else:
-        terms = EventQuery.positive(query).terms
+    if not isinstance(query, EventQuery):
+        query = EventQuery.positive(query)
     vplan = as_validated(plan)
-    masks, total = _ordering_masks(vplan, tuple(term.position for term in terms), max_indices)
+    masks, total = _ordering_masks(vplan, query.positions(), max_indices)
     combined = np.ones(total, dtype=bool)
-    for term, mask in zip(terms, masks):
+    for term, mask in zip(query.terms, masks):
         combined &= ~mask if term.negated else mask
     return Fraction(int(np.count_nonzero(combined)), total)
 
@@ -159,8 +156,12 @@ def quadrature_bounded(plan, positions, x, density, tol=1e-10, max_cells=1 << 16
     Builds the level functions B_k(z) on a uniform grid by cumulative
     Simpson integration, doubling the grid until two refinements agree to
     tol.  Independent of the closed-form product and of the exponent
-    convention it is used to check.
+    convention it is used to check.  The first grid has 1024 cells, so
+    max_cells below 2048 leaves nothing to compare it with and raises BadParams.
     """
+    cells = 1024
+    if max_cells < 2 * cells:
+        raise BadParams(f"max_cells must be at least {2 * cells}, got {max_cells}")
     from scipy.integrate import cumulative_simpson
 
     vplan = as_validated(plan)
@@ -171,7 +172,6 @@ def quadrature_bounded(plan, positions, x, density, tol=1e-10, max_cells=1 << 16
 
     cards = [vplan.cardinality(t) for t in positions]
     previous = None
-    cells = 1024
     while cells <= max_cells:
         z = np.linspace(0.0, upper, cells + 1)
         fs = np.asarray(density.pdf(z), dtype=float)

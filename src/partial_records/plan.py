@@ -24,13 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BadFirstIndex,
     EmptySelection,
     IndexOutOfRange,
-    NegativeCutoff,
     PlanValidationError,
     StateSpaceTooLarge,
 )
@@ -290,65 +288,15 @@ def chained_plan(indices):
 
     C(n_t) = {n_1, ..., n_{t-1}}, hence c(n_t) = t regardless of how the
     indices are spaced.  Requires n_1 = 1 so the first comparison set can be
-    empty.
+    empty.  Every index that does not exceed its predecessor is reported, in
+    one PlanValidationError.
     """
     indices = tuple(int(n) for n in indices)
     if not indices:
         raise EmptySelection("need at least one index")
     if indices[0] != 1:
         raise BadFirstIndex(f"chained plans start at index 1, got {indices[0]}")
-    for t, (a, b) in enumerate(zip(indices, indices[1:]), start=2):
-        violations = _index_violations(t, b, a, ())
-        if violations:
-            raise PlanValidationError(ValidationReport(tuple(violations)))
-    cardinalities = tuple(range(1, len(indices) + 1))
-    fresh = ((),) * len(indices)
-    return ValidatedPlan(indices, cardinalities, fresh)
-
-
-class PlanBuilder:
-    """Grow a compatible plan one position at a time.
-
-    append() validates the new element against the current tail and raises
-    PlanValidationError immediately on a violation, so a long streaming
-    construction fails at the offending element instead of at the end.
-    """
-
-    def __init__(self):
-        self._indices = []
-        self._cardinalities = []
-        self._fresh = []
-        self._last_set = frozenset()
-
-    @property
-    def length(self):
-        return len(self._indices)
-
-    def append(self, index, comparison_set):
-        index = int(index)
-        comparison_set = frozenset(int(e) for e in comparison_set)
-        t = len(self._indices) + 1
-        prev = self._indices[-1] if self._indices else None
-        violations = _index_violations(t, index, prev, comparison_set)
-        if prev is not None:
-            violations += _nesting_violations(t, prev, self._last_set, comparison_set)
-        if violations:
-            raise PlanValidationError(ValidationReport(tuple(violations)))
-
-        self._fresh.append(_fresh(comparison_set - self._last_set, prev))
-        self._indices.append(index)
-        self._cardinalities.append(len(comparison_set) + 1)
-        self._last_set = comparison_set
-        return self
-
-    def build(self):
-        if not self._indices:
-            raise EmptySelection("cannot build an empty plan")
-        return ValidatedPlan(
-            tuple(self._indices),
-            tuple(self._cardinalities),
-            tuple(self._fresh),
-        )
+    return _plan_from_fresh(indices, [frozenset()] * len(indices))
 
 
 def random_compatible_plan(rng, max_index=8, max_positions=None):
@@ -388,14 +336,9 @@ class EventTerm:
 
 @dataclass(frozen=True)
 class EventQuery:
-    """Conjunction of record events (and negations) at increasing positions.
-
-    An optional cutoff x turns the final (non-negated) event into
-    {record at t and value < x}.
-    """
+    """Conjunction of record events (and negations) at increasing positions."""
 
     terms: tuple[EventTerm, ...]
-    cutoff: float | Fraction | None = None
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -404,16 +347,11 @@ class EventQuery:
         for a, b in zip(terms, terms[1:]):
             if b.position <= a.position:
                 raise EmptySelection("query positions must be strictly increasing")
-        if self.cutoff is not None:
-            if self.cutoff <= 0:
-                raise NegativeCutoff(f"cutoff must be positive, got {self.cutoff}")
-            if terms[-1].negated:
-                raise EmptySelection("a cutoff applies to the last, non-negated term")
         object.__setattr__(self, "terms", terms)
 
     @classmethod
-    def positive(cls, positions, cutoff=None):
-        return cls(tuple(EventTerm(int(t)) for t in positions), cutoff)
+    def positive(cls, positions):
+        return cls(tuple(EventTerm(int(t)) for t in positions))
 
     def positions(self):
         return tuple(term.position for term in self.terms)

@@ -20,10 +20,9 @@ def test_discretize_uniform_masses():
     assert model.exact
     assert model.atom_count == 5
     assert model.masses == (Fraction(1, 5),) * 5
-    assert model.below(0) == 0
-    assert model.below(3) == Fraction(3, 5)
-    assert model.below(5) == 1
-    assert model.atom_value(3) == Fraction(3, 4)
+    assert model.prefix[0] == 0
+    assert model.prefix[3] == Fraction(3, 5)
+    assert model.prefix[5] == 1
 
 
 def test_discretize_triangular_masses():

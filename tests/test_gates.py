@@ -128,8 +128,3 @@ def test_the_wrong_exponent_convention_fails_the_ecdf_gate():
         assert family[-1].name == "record_value_ecdf"
         assert family[-1].passed is ok
         assert 1 <= family[-1].worst_position <= 4
-
-
-def test_dkw_radius_is_exported_with_its_default_level():
-    assert pr.dkw_radius is gates.dkw_radius
-    assert pr.dkw_radius(1000) == pytest.approx(math.sqrt(math.log(2e6) / 2000))

@@ -36,11 +36,6 @@ def test_permutation_oracle_handles_negations(total5):
     assert pr.exact_joint(total5, q_all) == Fraction(1, 2)
 
 
-def test_permutation_oracle_rejects_cutoff_queries(total5):
-    with pytest.raises(ValueError):
-        pr.exact_joint(total5, pr.EventQuery.positive((2,), cutoff=0.5))
-
-
 def test_relevant_indices_and_size_guard():
     plan = pr.total_comparison_plan(12)
     assert pr.relevant_indices(plan, (3,)) == (1, 2, 3)
@@ -107,6 +102,16 @@ def test_quadrature_matches_product_times_power(partial_plan):
 def test_quadrature_rejects_nonpositive_cutoff(total5):
     with pytest.raises(pr.NegativeCutoff):
         pr.quadrature_bounded(total5, (2,), 0.0, pr.uniform01())
+
+
+def test_quadrature_needs_room_for_one_refinement():
+    # the first grid has 1024 cells; convergence compares it with 2048
+    plan = pr.total_comparison_plan(3)
+    for max_cells in (512, 2047):
+        with pytest.raises(pr.BadParams):
+            pr.quadrature_bounded(plan, (2,), 0.5, pr.uniform01(), max_cells=max_cells)
+    got = pr.quadrature_bounded(plan, (2,), 0.5, pr.uniform01(), max_cells=2048)
+    assert got == pytest.approx(0.125, abs=1e-12)
 
 
 def test_exhaustive_discrete_oracle_hand_case():

@@ -39,6 +39,21 @@ def test_chained_plan_cardinalities_are_positions():
     assert p.cardinalities == (1, 2, 3, 4)
     assert p.comparison_set(3) == {1, 3}
     assert p.comparison_set(4) == {1, 3, 5}
+    for indices in ([1], [1, 2], [1, 3, 5, 9], range(1, 80, 2), [1, 10, 100, 10_000]):
+        indices = tuple(indices)
+        n = len(indices)
+        want = pr.ValidatedPlan(indices, tuple(range(1, n + 1)), ((),) * n)
+        assert pr.chained_plan(indices) == want
+        sets = tuple(frozenset(indices[: t - 1]) for t in range(1, n + 1))
+        assert pr.validate(pr.ComparisonPlan(indices, sets)) == want
+
+
+def test_chained_plan_reports_every_violation():
+    with pytest.raises(pr.PlanValidationError) as info:
+        pr.chained_plan([1, 3, 2, 0])
+    report = info.value.report
+    assert [v.position for v in report.violations] == [3, 4]
+    assert report.kinds() == (NOT_STRICTLY_INCREASING,) * 2
 
 
 def test_chained_plan_must_start_at_one():
@@ -62,6 +77,13 @@ def test_validate_reports_every_violation():
     kinds = report.kinds()
     assert NOT_STRICTLY_INCREASING in kinds
     assert SET_OUT_OF_RANGE in kinds
+    # index rules at every position first, then nesting rules
+    raw = pr.ComparisonPlan((2, 0), (frozenset({1}), frozenset({1, 3})))
+    assert pr.validate(raw).kinds() == (
+        NOT_STRICTLY_INCREASING,
+        SET_OUT_OF_RANGE,
+        MISSING_PREDECESSOR,
+    )
 
 
 def test_validate_catches_broken_nesting_and_missing_predecessor():
@@ -114,32 +136,6 @@ def test_cumulative_intensity_counts_only_reached_indices(partial_plan):
     assert pr.cumulative_intensity(partial_plan, 5) == Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 5)
 
 
-def test_plan_builder_matches_batch_validation(partial_plan):
-    built = (
-        pr.PlanBuilder()
-        .append(2, {1})
-        .append(4, {1, 2, 3})
-        .append(5, {1, 2, 3, 4})
-        .build()
-    )
-    assert built == partial_plan
-
-
-def test_plan_builder_rejects_bad_element_immediately():
-    builder = pr.PlanBuilder().append(2, {1})
-    with pytest.raises(pr.PlanValidationError):
-        builder.append(4, {1, 3})  # drops required predecessor 2
-
-
-def test_plan_builder_reports_like_validate():
-    raw = pr.ComparisonPlan((2, 0), (frozenset({1}), frozenset({1, 3})))
-    report = pr.validate(raw)
-    with pytest.raises(pr.PlanValidationError) as info:
-        pr.PlanBuilder().append(2, {1}).append(0, {1, 3})
-    assert info.value.report == report
-    assert report.kinds() == (NOT_STRICTLY_INCREASING, SET_OUT_OF_RANGE, MISSING_PREDECESSOR)
-
-
 def test_materializing_an_oversized_plan_raises_state_space_too_large():
     with pytest.raises(pr.StateSpaceTooLarge):
         pr.total_comparison_plan(7000).to_comparison_plan()
@@ -156,14 +152,10 @@ def test_random_compatible_plans_always_validate(rng):
 
 
 def test_event_query_rules():
-    q = pr.EventQuery.positive((1, 3), cutoff=0.5)
+    q = pr.EventQuery.positive((1, 3))
     assert q.positions() == (1, 3)
     with pytest.raises(pr.EmptySelection):
         pr.EventQuery(())
-    with pytest.raises(pr.NegativeCutoff):
-        pr.EventQuery.positive((1,), cutoff=-1.0)
-    with pytest.raises(pr.EmptySelection):
-        pr.EventQuery((pr.EventTerm(1), pr.EventTerm(3, negated=True)), cutoff=0.5)
 
 
 def test_check_positions_rules(total5):

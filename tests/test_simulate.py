@@ -325,7 +325,7 @@ def test_record_value_ecdf_against_series(total5):
     cfg = _config(total5, s, 200_000, 31, r_max=2)
     result = pr.run(cfg)
     curve = pr.record_value_ecdf(result, 2, [0.3, 0.6, 0.9])
-    radius = pr.dkw_radius(result.n)
+    radius = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * result.n))  # DKW at level 1e-6
     for x, value in zip(curve.grid, curve.ecdf):
         iv = pr.record_value_cdf(total5, 2, x, s)
         assert iv.lower - radius <= value <= iv.upper + radius
