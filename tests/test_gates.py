@@ -128,3 +128,21 @@ def test_the_wrong_exponent_convention_fails_the_ecdf_gate():
         assert family[-1].name == "record_value_ecdf"
         assert family[-1].passed is ok
         assert 1 <= family[-1].worst_position <= 4
+
+
+def test_ecdf_gate_is_the_dkw_test_of_the_distance_outside_the_bracket(total5):
+    result = _run(total5, pr.uniform01(), 1000, 5)
+    moments = pr.record_count_moments(total5, 5)
+    values, lowers, uppers = [0.2, 0.5, 0.9], [0.1, 0.55, 0.8], [0.3, 0.6, 0.85]
+    _, _, family = gates.simulation_gates(result, 4.0, moments, ecdf=(values, lowers, uppers))
+    ecdf_gate = family[-1]
+    assert ecdf_gate.name == "record_value_ecdf"
+    assert ecdf_gate.worst_position == 2  # the first of the two points 0.05 outside
+    assert ecdf_gate.deviation == pytest.approx(0.05)
+    assert ecdf_gate.p_value == pytest.approx(2 * math.exp(-2 * 1000 * 0.05**2))
+    # the gate passes exactly inside the DKW radius at its level
+    radius = math.sqrt(math.log(2 / ecdf_gate.level) / (2 * result.n))
+    for distance, ok in [(0.99 * radius, True), (1.01 * radius, False)]:
+        ecdf = ([0.5 + distance], [0.4], [0.5])
+        _, _, family = gates.simulation_gates(result, 4.0, moments, ecdf=ecdf)
+        assert family[-1].passed is ok

@@ -39,6 +39,9 @@ def test_chained_plan_cardinalities_are_positions():
     assert p.cardinalities == (1, 2, 3, 4)
     assert p.comparison_set(3) == {1, 3}
     assert p.comparison_set(4) == {1, 3, 5}
+
+
+def test_chained_plan_matches_validate_of_the_full_form():
     for indices in ([1], [1, 2], [1, 3, 5, 9], range(1, 80, 2), [1, 10, 100, 10_000]):
         indices = tuple(indices)
         n = len(indices)
@@ -77,7 +80,9 @@ def test_validate_reports_every_violation():
     kinds = report.kinds()
     assert NOT_STRICTLY_INCREASING in kinds
     assert SET_OUT_OF_RANGE in kinds
-    # index rules at every position first, then nesting rules
+
+
+def test_validate_reports_index_rules_before_nesting_rules():
     raw = pr.ComparisonPlan((2, 0), (frozenset({1}), frozenset({1, 3})))
     assert pr.validate(raw).kinds() == (
         NOT_STRICTLY_INCREASING,
