@@ -60,7 +60,6 @@ from .distributions import (
     verify_density,
 )
 from .exact import (
-    EXPONENT_CONVENTIONS,
     CdfInterval,
     RecordCountStats,
     RecordTimePmf,

@@ -114,7 +114,6 @@ def cmd_exact(args):
         "command": "exact",
         "plan_hash": _plan.plan_hash(vplan),
         "positions": list(positions),
-        "exponent": args.exponent,
         "per_position": [
             {
                 "position": t,
@@ -134,9 +133,7 @@ def cmd_exact(args):
         out["bounded"] = {
             "x": args.x,
             "density": density.name,
-            "value": _exact.joint_record_prob_bounded(
-                vplan, positions, args.x, density, exponent=args.exponent
-            ),
+            "value": _exact.joint_record_prob_bounded(vplan, positions, args.x, density),
         }
     if args.r is not None:
         pmf = _exact.record_time_pmf(vplan, args.r, args.t_max)
@@ -154,9 +151,7 @@ def cmd_exact(args):
             "residual": _frac_obj(pmf.residual),
         }
         if args.x is not None:
-            interval = _exact.record_value_cdf(
-                vplan, args.r, args.x, density, t_max=args.t_max, exponent=args.exponent
-            )
+            (interval,) = _exact.record_value_cdf(pmf, [args.x], density)
             out["record_value"] = {
                 "x": args.x,
                 "lower": interval.lower,
@@ -240,12 +235,8 @@ def cmd_simulate(args):
 
     if grid:
         curve = _simulate.record_value_ecdf(result, args.r, grid)
-        intervals = [
-            _exact.record_value_cdf(
-                vplan, args.r, x, density, t_max=result.horizon, exponent=args.exponent
-            )
-            for x in curve.grid
-        ]
+        pmf = _exact.record_time_pmf(vplan, args.r, result.horizon)
+        intervals = _exact.record_value_cdf(pmf, curve.grid, density)
         ecdf = (curve.ecdf, [i.lower for i in intervals], [i.upper for i in intervals])
         _write_csv(
             os.path.join(args.out, "ecdf.csv"),
@@ -257,7 +248,6 @@ def cmd_simulate(args):
         )
         summary["record_value"] = {
             "r": args.r,
-            "exponent": args.exponent,
             "grid_points": len(grid),
             "no_record_fraction": curve.no_record_fraction,
         }
@@ -454,12 +444,6 @@ def build_parser():
     p.add_argument("--density", default=None, help="density name or tab:file.csv")
     p.add_argument("--r", type=int, default=None, help="record rank for time/value laws")
     p.add_argument("--t-max", type=int, default=None, dest="t_max")
-    p.add_argument(
-        "--exponent",
-        choices=_exact.EXPONENT_CONVENTIONS,
-        default="cardinality",
-        help="exponent convention for the record-value law",
-    )
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("simulate", help="Monte Carlo run with statistical gates")
@@ -472,11 +456,6 @@ def build_parser():
     p.add_argument("--r", type=int, default=None, help="track the r-th record")
     p.add_argument("--grid", default=None, help="cutoff grid for the record-value ecdf")
     p.add_argument("--checkpoints", default=None, help="'auto' or comma list of positions")
-    p.add_argument(
-        "--exponent",
-        choices=_exact.EXPONENT_CONVENTIONS,
-        default="cardinality",
-    )
     p.add_argument("--z", type=float, default=4.0, help="gates' false-fail bound 2 Phi(-z)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)

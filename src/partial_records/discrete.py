@@ -301,28 +301,18 @@ def bounded_profile(plan, positions, model):
 
 
 def profile_vs_continuous(plan, positions, model, density):
-    """Compare the discrete bounded profile to the continuous candidate laws.
+    """Max deviation of the discrete bounded profile from the continuous law.
 
-    The continuous candidate at cutoff l/m is prod(1/c) * F(l/m)^e with the
-    exponent e at the last selected position read either as the cardinality
-    c(n_t) or the raw time index n_t.  Returns the max deviation over the
-    grid for both conventions; the one vanishing as m grows identifies the
-    correct exponent.
+    The continuous law at cutoff l/m is prod(1/c) * F(l/m)^c(n_t) with t the
+    last selected position; the deviation vanishes as m grows.
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
     profile = bounded_profile(vplan, positions, model)
-    base = _exact.joint_record_prob(vplan, positions)
+    base = float(_exact.joint_record_prob(vplan, positions))
     grid = _grid(density, model.m)
-
-    out = {}
-    for convention in _exact.EXPONENT_CONVENTIONS:
-        e = _exact._exponent(vplan, positions[-1], convention)
-        out[convention] = max(
-            abs(float(b) - float(base) * (c / grid.cdf_den) ** e)
-            for b, c in zip(profile, grid.cdf)
-        )
-    return out
+    e = vplan.cardinality(positions[-1])
+    return max(abs(float(b) - base * (c / grid.cdf_den) ** e) for b, c in zip(profile, grid.cdf))
 
 
 @dataclass(frozen=True)

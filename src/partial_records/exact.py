@@ -9,9 +9,9 @@ r-th success time of an independent-but-not-identical Bernoulli sequence.
 The record-value law mixes in the density: conditionally on the r-th record
 happening at position t with cutoff x, the record value falls below x with
 probability F(x) raised to the number of values the record had to beat plus
-itself, i.e. exponent c(n_t).  The exponent convention is parameterized
-("cardinality" for c(n_t), "time_index" for n_t) because the two only agree
-on total-comparison plans; Monte Carlo checks discriminate between them.
+itself, i.e. exponent c(n_t).  The raw time index n_t agrees with it only
+on total-comparison plans; the quadrature oracle and Monte Carlo checks on a
+chained plan tell the two apart.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from fractions import Fraction
 
 from .errors import IndexOutOfRange, RankTooLarge
 from .plan import as_validated, check_positions
-
-EXPONENT_CONVENTIONS = ("cardinality", "time_index")
 
 
 def _reciprocal_sum(cardinalities, power=1):
@@ -81,26 +79,17 @@ def joint_record_prob(plan, positions):
     return Fraction(1, math.prod(vplan.cardinality(t) for t in positions))
 
 
-def joint_record_prob_bounded(plan, positions, x, density, exponent="cardinality"):
+def joint_record_prob_bounded(plan, positions, x, density):
     """P(records at the selected positions, with the last value below x).
 
-    Equals the unconstrained joint probability times F(x)^e where the
-    exponent e at the last selected position follows the chosen convention.
+    Equals the unconstrained joint probability times F(x)^c(n_t) at the last
+    selected position t.
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
     base = joint_record_prob(vplan, positions)
     fx = float(density.cdf(x))
-    e = _exponent(vplan, positions[-1], exponent)
-    return float(base) * fx**e
-
-
-def _exponent(vplan, t, convention):
-    if convention == "cardinality":
-        return vplan.cardinality(t)
-    if convention == "time_index":
-        return vplan.index(t)
-    raise ValueError(f"exponent must be one of {EXPONENT_CONVENTIONS}, got {convention!r}")
+    return float(base) * fx ** vplan.cardinality(positions[-1])
 
 
 @dataclass(frozen=True)
@@ -144,6 +133,7 @@ class PmfEntry:
 
     position: int
     time_index: int
+    cardinality: int
     probability: Fraction
 
 
@@ -153,6 +143,7 @@ class RecordTimePmf:
     t_max: int
     entries: tuple[PmfEntry, ...]
     residual: Fraction  # P(fewer than r records within positions 1..t_max)
+    next_cardinality: int | None  # c(n_{t_max+1}); None when t_max is the last position
 
     def probability_at(self, t):
         for entry in self.entries:
@@ -183,16 +174,18 @@ def record_time_pmf(plan, r, t_max=None):
     state = [Fraction(1)] + [Fraction(0)] * (r - 1)
     entries = []
     for t in range(1, t_max + 1):
-        p = Fraction(1, vplan.cardinality(t))
+        c = vplan.cardinality(t)
+        p = Fraction(1, c)
         hit = state[r - 1] * p
         if t >= r:
-            entries.append(PmfEntry(t, vplan.index(t), hit))
+            entries.append(PmfEntry(t, vplan.index(t), c, hit))
         for s in range(r - 1, 0, -1):
             state[s] = state[s] * (1 - p) + state[s - 1] * p
         state[0] = state[0] * (1 - p)
     residual = sum(state, Fraction(0))
     assert residual + sum((e.probability for e in entries), Fraction(0)) == 1
-    return RecordTimePmf(r=r, t_max=t_max, entries=tuple(entries), residual=residual)
+    next_cardinality = vplan.cardinality(t_max + 1) if t_max < vplan.length else None
+    return RecordTimePmf(r, t_max, tuple(entries), residual, next_cardinality)
 
 
 @dataclass(frozen=True)
@@ -207,26 +200,22 @@ class CdfInterval:
         return self.upper - self.lower
 
 
-def record_value_cdf(plan, r, x, density, t_max=None, exponent="cardinality"):
-    """P(r-th record occurs by position t_max and its value is below x).
+def record_value_cdf(pmf, xs, density):
+    """P(r-th record occurs by position t_max and its value is below x), per x.
 
-    Series sum of F(x)^e(t) * P(L(r) = n_t) over t <= t_max.  When t_max is
-    the final plan position this is the exact (sub-probability) law, so the
+    Series sum of F(x)^c(n_t) * P(L(r) = n_t) over the entries of a
+    record_time_pmf, one CdfInterval per cutoff in xs.  When t_max is the
+    final plan position this is the exact (sub-probability) law, so the
     bracket collapses; when the plan extends past t_max every omitted term
-    carries an exponent at least e(t_max + 1), so the tail the full plan
-    would add is at most residual * F(x)^e(t_max + 1).
+    carries an exponent at least c(n_{t_max+1}), so the tail the full plan
+    would add is at most residual * F(x)^c(n_{t_max+1}).
     """
-    vplan = as_validated(plan)
-    pmf = record_time_pmf(vplan, r, t_max)
-    fx = float(density.cdf(x))
-    terms = [
-        float(entry.probability) * fx ** _exponent(vplan, entry.position, exponent)
-        for entry in pmf.entries
-    ]
-    lower = math.fsum(terms)
-    if pmf.t_max < vplan.length:
-        tail = float(pmf.residual) * fx ** _exponent(vplan, pmf.t_max + 1, exponent)
-    else:
-        tail = 0.0
-    upper = min(1.0, lower + tail)
-    return CdfInterval(lower=lower, upper=upper)
+    terms = [(float(e.probability), e.cardinality) for e in pmf.entries]
+    residual = float(pmf.residual)
+    intervals = []
+    for x in xs:
+        fx = float(density.cdf(x))
+        lower = math.fsum(p * fx**c for p, c in terms)
+        tail = 0.0 if pmf.next_cardinality is None else residual * fx**pmf.next_cardinality
+        intervals.append(CdfInterval(lower=lower, upper=min(1.0, lower + tail)))
+    return tuple(intervals)

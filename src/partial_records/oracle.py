@@ -155,8 +155,8 @@ def quadrature_bounded(plan, positions, x, density, tol=1e-10, max_cells=1 << 16
 
     Builds the level functions B_k(z) on a uniform grid by cumulative
     Simpson integration, doubling the grid until two refinements agree to
-    tol.  Independent of the closed-form product and of the exponent
-    convention it is used to check.  The first grid has 1024 cells, so
+    tol.  Independent of the closed-form product and of the record-value
+    exponent c(n_t) it is used to check.  The first grid has 1024 cells, so
     max_cells below 2048 leaves nothing to compare it with and raises BadParams.
     """
     cells = 1024

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -78,14 +79,15 @@ class ComparisonPlan:
 
     indices: the selected time indices (1-based positions in the sequence).
     comparison_sets: one set of earlier time indices per selected index.
-    Construction only checks shape; semantic checks live in validate().
+    Construction only checks shape and that entries are integers (a float
+    raises ValueError); semantic checks live in validate().
     """
 
     indices: tuple[int, ...]
     comparison_sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        idx = tuple(map(int, self.indices))
+        idx = tuple(_index(n, "an index") for n in self.indices)
         sets = tuple(map(_int_set, self.comparison_sets))
         if len(idx) != len(sets):
             raise ValueError(
@@ -168,11 +170,20 @@ class ValidatedPlan:
         return ComparisonPlan(self.indices, tuple(sets))
 
 
+def _index(value, what):
+    """value as an exact int: operator.index takes numpy integers and refuses
+    floats, which int() would silently truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _int_set(s):
     """s as a frozenset of exact ints; one that already is one is kept as-is."""
     if type(s) is frozenset and set(map(type, s)) <= {int}:
         return s
-    return frozenset(map(int, s))
+    return frozenset(_index(n, "a comparison-set member") for n in s)
 
 
 def _index_violations(t, n, prev, members):
@@ -274,7 +285,7 @@ def total_comparison_plan(j):
     C(1) is empty (the first value is trivially a record), C(n) = {1..n-1},
     so c(n) = n and I_j is the j-th harmonic number.
     """
-    j = int(j)
+    j = _index(j, "j")
     if j < 1:
         raise IndexOutOfRange(f"need j >= 1, got {j}")
     indices = tuple(range(1, j + 1))
@@ -291,7 +302,7 @@ def chained_plan(indices):
     empty.  Every index that does not exceed its predecessor is reported, in
     one PlanValidationError.
     """
-    indices = tuple(int(n) for n in indices)
+    indices = tuple(_index(n, "an index") for n in indices)
     if not indices:
         raise EmptySelection("need at least one index")
     if indices[0] != 1:

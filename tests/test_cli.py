@@ -236,6 +236,28 @@ def test_simulate_bytes_do_not_depend_on_the_block_split(tmp_path, monkeypatch, 
     assert outputs[0] == outputs[1]
 
 
+def test_each_command_builds_one_record_time_pmf(tmp_path, capsys, monkeypatch, total6_file):
+    calls = []
+    build = cli._exact.record_time_pmf
+    monkeypatch.setattr(cli._exact, "record_time_pmf",
+                        lambda *args: calls.append(args) or build(*args))
+    grid = ",".join(str(k / 20) for k in range(1, 20))
+    simulate_argv = ["simulate", "--plan", total6_file, "--density", "smoothstep", "--n", "2000",
+                     "--seed", "5", "--r", "2", "--grid", grid, "--out", str(tmp_path / "run")]
+    assert main(simulate_argv) == 0
+    assert len((tmp_path / "run" / "ecdf.csv").read_text().splitlines()) == 1 + 19
+    assert len(calls) == 1
+    exact_argv = ["exact", "--plan", total6_file, "--positions", "2", "--r", "2", "--x", "0.5",
+                  "--density", "smoothstep"]
+    assert main(exact_argv) == 0
+    assert len(calls) == 2
+    # the record-value exponent is c(n_t); there is no option to choose another
+    for argv in (simulate_argv, exact_argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--exponent", "time_index"])
+        assert info.value.code == 2
+
+
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_simulate_inversion_failure_writes_nothing(tmp_path, capsys, monkeypatch, total6_file,
                                                    blocks):

@@ -120,39 +120,47 @@ def test_first_record_is_immediate_when_first_set_is_empty(total5):
 
 def test_record_value_cdf_first_record_uniform(total5):
     # L(1) = 1 with c = 1: P(value < x) = F(x)
-    iv = pr.record_value_cdf(total5, 1, 0.3, pr.uniform01())
+    (iv,) = pr.record_value_cdf(pr.record_time_pmf(total5, 1), [0.3], pr.uniform01())
     assert iv.lower == pytest.approx(0.3, abs=1e-15)
     assert iv.upper == iv.lower  # t_max is the full plan: exact law
 
 
-def test_record_value_cdf_matches_log_closed_form():
-    # uniform, r=2, total comparison: sum x^n/(n(n-1)) = x + (1-x)ln(1-x)
-    plan = pr.total_comparison_plan(2000)
-    for x in (0.25, 0.5, 0.75):
-        iv = pr.record_value_cdf(plan, 2, x, pr.uniform01())
-        closed = x + (1.0 - x) * math.log1p(-x)
-        assert iv.lower == pytest.approx(closed, abs=1e-12)
+@pytest.mark.parametrize("t_max", [50, 400])
+@pytest.mark.parametrize(
+    "name", ["uniform01", "power(2)", "power(3)", "smoothstep", "triangular", "truncated_ramp(1/2)"]
+)
+def test_record_value_cdf_matches_log_closed_form(name, t_max):
+    # total comparison: P(R_r <= x) = 1 - (1 - F) sum_{k<r} (-ln(1 - F))^k / k!
+    # (Nevzorov, Records: Mathematical Theory, 2001); every later term carries
+    # an exponent above t_max, so the bracket of the truncated series holds it
+    density = pr.builtin(name)
+    plan = pr.total_comparison_plan(t_max + 1)
+    xs = (0.2, 0.5, 0.8, 0.95)
+    for r in (1, 2, 3, 5):
+        brackets = pr.record_value_cdf(pr.record_time_pmf(plan, r, t_max), xs, density)
+        for x, iv in zip(xs, brackets):
+            fx = float(density.cdf(x))
+            log_term = -math.log1p(-fx)
+            closed = 1.0 - (1.0 - fx) * math.fsum(
+                log_term**k / math.factorial(k) for k in range(r)
+            )
+            assert iv.lower - 1e-12 <= closed <= iv.upper + 1e-12, (r, x, iv, closed)
 
 
 def test_record_value_cdf_truncation_bracket():
     plan = pr.total_comparison_plan(1000)
-    iv = pr.record_value_cdf(plan, 2, 0.5, pr.uniform01(), t_max=200)
-    full = pr.record_value_cdf(plan, 2, 0.5, pr.uniform01())
+    u = pr.uniform01()
+    pmf = pr.record_time_pmf(plan, 2, t_max=200)
+    full_pmf = pr.record_time_pmf(plan, 2)
+    assert (pmf.next_cardinality, full_pmf.next_cardinality) == (201, None)
+    (iv,) = pr.record_value_cdf(pmf, [0.5], u)
+    (full,) = pr.record_value_cdf(full_pmf, [0.5], u)
     assert iv.lower <= full.lower <= iv.upper
     # tail bound: residual (1/200) * F(x)^201 is astronomically small here
     assert iv.width < 1e-12
     assert iv.width <= float(Fraction(1, 200)) * 0.5**201 + 1e-300
-
-
-def test_exponent_conventions_differ_off_total_plans():
-    # chained plan: c(n_t) = t but n_t = 2t-1, so the conventions diverge
-    plan = pr.chained_plan(range(1, 80, 2))
-    u = pr.uniform01()
-    by_card = pr.record_value_cdf(plan, 2, 0.5, u, exponent="cardinality")
-    by_time = pr.record_value_cdf(plan, 2, 0.5, u, exponent="time_index")
-    assert abs(by_card.lower - by_time.lower) > 0.02
-    with pytest.raises(ValueError):
-        pr.record_value_cdf(plan, 2, 0.5, u, exponent="bogus")
+    # one call over a grid gives the intervals of one call per cutoff
+    assert pr.record_value_cdf(pmf, [0.25, 0.5], u)[1] == iv
 
 
 def test_bounded_joint_matches_recursion_quadrature(total5):

@@ -62,7 +62,7 @@ def test_every_test_runs_at_the_sidak_level_of_the_family(total5):
     moments = pr.record_count_moments(total5, 5)
     alpha = math.erfc(4 / math.sqrt(2))  # 2 Phi(-4)
     curve = pr.record_value_ecdf(result, 2, [0.5])
-    bracket = pr.record_value_cdf(total5, 2, 0.5, density)
+    (bracket,) = pr.record_value_cdf(pr.record_time_pmf(total5, 2), [0.5], density)
     ecdf = (curve.ecdf, [bracket.lower], [bracket.upper])
     for joint, grid, tests in [(None, None, 6), (Fraction(1, 6), None, 7),
                                (Fraction(1, 6), ecdf, 8)]:
@@ -114,16 +114,22 @@ def test_a_wrong_joint_target_fails_the_joint_gate(partial_plan):
 
 
 def test_the_wrong_exponent_convention_fails_the_ecdf_gate():
-    # on a chained plan c(n_t) = t differs from n_t, and only the cardinality is right
+    # on a chained plan c(n_t) = t differs from n_t, and only the cardinality is
+    # right; the law with the raw time index n_t is computed here as a foil
     plan = pr.chained_plan([1, 3, 5, 9])
     density = pr.uniform01()
     result = _run(plan, density, 50_000, 12, r_max=2)
     moments = pr.record_count_moments(plan, 9)
     curve = pr.record_value_ecdf(result, 2, [0.3, 0.5, 0.7, 0.9])
-    for convention, ok in [("cardinality", True), ("time_index", False)]:
-        brackets = [pr.record_value_cdf(plan, 2, x, density, exponent=convention)
-                    for x in curve.grid]
-        ecdf = (curve.ecdf, [b.lower for b in brackets], [b.upper for b in brackets])
+    pmf = pr.record_time_pmf(plan, 2)
+    law = [iv.lower for iv in pr.record_value_cdf(pmf, curve.grid, density)]
+    foil = [
+        math.fsum(float(e.probability) * float(density.cdf(x)) ** e.time_index
+                  for e in pmf.entries)
+        for x in curve.grid
+    ]
+    for series, ok in [(law, True), (foil, False)]:
+        ecdf = (curve.ecdf, series, series)
         _, _, family = gates.simulation_gates(result, 4.0, moments, ecdf=ecdf)
         assert family[-1].name == "record_value_ecdf"
         assert family[-1].passed is ok

@@ -59,6 +59,25 @@ def test_chained_plan_reports_every_violation():
     assert report.kinds() == (NOT_STRICTLY_INCREASING,) * 2
 
 
+@pytest.mark.parametrize(
+    "build, bad, good",
+    [
+        (pr.chained_plan, [1, 2.9, 3.5], np.arange(1, 4)),
+        (lambda a: pr.ComparisonPlan(*a), ((1, 2.9), (set(), {1.7})), (np.arange(1, 3), (set(), {1}))),
+        (lambda a: pr.ComparisonPlan(*a), ((1, 2), (set(), {1.7})), ((1, 2), (set(), {np.int32(1)}))),
+        (pr.total_comparison_plan, 3.9, np.int64(3)),
+    ],
+    ids=["chained_plan", "ComparisonPlan-index", "ComparisonPlan-set", "total_comparison_plan"],
+)
+def test_plan_constructors_reject_non_integers_and_keep_numpy_integers(build, bad, good):
+    # int() would truncate 2.9 to 2; the loader rejects such a file too
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(bad)
+    plan = build(good)
+    assert set(map(type, plan.indices)) == {int}
+    assert plan.indices == tuple(range(1, plan.length + 1))
+
+
 def test_chained_plan_must_start_at_one():
     with pytest.raises(pr.BadFirstIndex):
         pr.chained_plan([2, 3, 4])

@@ -326,13 +326,13 @@ def test_record_value_ecdf_against_series(total5):
     result = pr.run(cfg)
     curve = pr.record_value_ecdf(result, 2, [0.3, 0.6, 0.9])
     radius = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * result.n))  # DKW at level 1e-6
-    for x, value in zip(curve.grid, curve.ecdf):
-        iv = pr.record_value_cdf(total5, 2, x, s)
+    pmf = pr.record_time_pmf(total5, 2)
+    for value, iv in zip(curve.ecdf, pr.record_value_cdf(pmf, curve.grid, s)):
         assert iv.lower - radius <= value <= iv.upper + radius
     # replications with no second record never enter the numerator
     assert curve.ecdf[-1] <= curve.with_record / result.n
     assert curve.no_record_fraction == pytest.approx(
-        float(pr.record_time_pmf(total5, 2).residual), abs=4 * math.sqrt(0.25 / result.n)
+        float(pmf.residual), abs=4 * math.sqrt(0.25 / result.n)
     )
 
 
