@@ -15,11 +15,15 @@ quantities:
 One rule picks the arithmetic: a density carrying its Fraction hooks (a
 DensitySpec has both pdf_fraction and cdf_fraction or neither) is evaluated
 in exact rationals, any other density in floats.  _grid applies the rule,
-once per (density, m).  An exact grid carries integer numerators over common
-denominators: sums, prefixes and the recursion work on those integers and
-track only the denominator, and a Fraction is built only for each returned
-value.  So exact grid identities (and the deviations themselves) are free of
-rounding noise, without a gcd per operation.
+once per (density, m), and the DiscreteModel built from the grid carries it:
+atom l has mass weights[l] / scale, with an exact model's integer pdf
+numerators over their sum, a float model's normalized masses over 1.0.  The
+recursion, the lemma checks and the exhaustive oracle read those numbers
+with no branch of their own.  _zero and _ratio give a value its type, and
+_deviations cross-multiplies exact lemma sides where float ones divide.  So
+exact grid identities (and the deviations themselves) are free of rounding
+noise, without a gcd per operation, and a Fraction is built only for each
+returned value.
 """
 
 from __future__ import annotations
@@ -38,27 +42,33 @@ from .errors import (
     UnboundedSupport,
     ZeroMass,
 )
-from .plan import as_validated, check_positions
+from .plan import _index, as_validated, check_positions
 from . import exact as _exact
 
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """Normalized atoms of a density sampled on {l/m : l = 0..top_index}."""
+    """Atoms of a density sampled on {l/m : l = 0..top_index}.
+
+    Atom l has mass weights[l] / scale, and below[l] / scale is the mass
+    strictly below atom l (length top_index + 2).  An exact model holds
+    integer weights over their sum, a float model normalized masses over 1.0.
+    """
 
     m: int
     density_name: str
-    masses: tuple
-    prefix: tuple  # prefix[l] = sum of masses strictly below atom l, length top+2
+    weights: tuple
+    below: tuple
+    scale: object  # int when exact, else 1.0
     exact: bool
 
     @property
     def atom_count(self):
-        return len(self.masses)
+        return len(self.weights)
 
     @property
     def top_index(self):
-        return len(self.masses) - 1
+        return len(self.weights) - 1
 
 
 def _zero(exact):
@@ -70,6 +80,17 @@ def _ratio(numerator, denominator, exact):
     """A returned value: the Fraction numerator/denominator on exact grids, the
     float quotient otherwise."""
     return Fraction(numerator, denominator) if exact else numerator / denominator
+
+
+def _deviations(lhs, rhs, exact):
+    """|lhs - rhs| at each l as (numerators, denominator), each side given as
+    (numerators, denominator).  Exact sides cross-multiply onto one
+    denominator, so the largest numerator is the worst l; float sides divide
+    first, so each deviation is the difference of the two float values."""
+    (a, a_den), (b, b_den) = lhs, rhs
+    if exact:
+        return [abs(x * b_den - y * a_den) for x, y in zip(a, b)], a_den * b_den
+    return [abs(x / a_den - y / b_den) for x, y in zip(a, b)], 1
 
 
 def _common(fractions):
@@ -115,7 +136,7 @@ class _Grid(NamedTuple):
 # lemma power; the bound keeps a long-lived process from holding every grid.
 @lru_cache(maxsize=32)
 def _grid(density, m):
-    m = int(m)
+    m = _index(m, "grid resolution m")
     top = _grid_top(density, m)
     if density.pdf_fraction is None:
         xs = [float(l) / m for l in range(top + 1)]
@@ -129,7 +150,7 @@ def _grid(density, m):
 
 
 def _total(density, grid):
-    """The pdf numerators' sum S, so the model's masses are pdf[l]/S."""
+    """The pdf numerators' sum S, so atom l has mass pdf[l]/S."""
     total = sum(grid.pdf) if grid.exact else math.fsum(grid.pdf)
     if total <= 0:
         raise ZeroMass(f"{density.name} vanishes on the whole m={grid.m} grid")
@@ -138,13 +159,10 @@ def _total(density, grid):
 
 def _model(density, grid):
     total = _total(density, grid)
-    masses = tuple(_ratio(v, total, grid.exact) for v in grid.pdf)
-    if grid.exact:
-        prefix = [Fraction(v, total) for v in accumulate(grid.pdf, initial=0)]
-    else:
-        prefix = list(accumulate(masses, initial=0.0))
-        prefix[-1] = 1.0  # absorbs float rounding
-    return DiscreteModel(grid.m, density.name, masses, tuple(prefix), grid.exact)
+    weights, scale = (grid.pdf, total) if grid.exact else (tuple(v / total for v in grid.pdf), 1.0)
+    below = list(accumulate(weights, initial=_zero(grid.exact)))
+    below[-1] = scale  # an exact sum already ends there; a float one absorbs rounding
+    return DiscreteModel(grid.m, density.name, weights, tuple(below), scale, grid.exact)
 
 
 def discretize(density, m):
@@ -207,59 +225,44 @@ def lemma_checks(density, m, r=1):
     """
     _check_power(r)
     grid = _grid(density, m)
-    atoms = range(len(grid.pdf))
-    total = _total(density, grid)
-    if grid.exact:  # masses g/total and strictly-below masses below/total
-        g, below, g_den = grid.pdf, list(accumulate(grid.pdf, initial=0)), total
-    else:
-        model = _model(density, grid)
-        g, below, g_den = model.masses, model.prefix, 1
-    weighted = accumulate((b ** (r - 1) * v for b, v in zip(below, g)), initial=_zero(grid.exact))
+    model = _model(density, grid)
+    atoms = range(model.atom_count)
+    g, below, scale = model.weights, model.below, model.scale
+    weighted = accumulate((b ** (r - 1) * v for b, v in zip(below, g)), initial=_zero(model.exact))
     target = [c**r for c in grid.cdf]  # over r cdf_den^r: F^r(l/m)/r
     relations = {  # name: (numerators, denominator) of each side
         "riemann_theta": (_riemann(grid, r), (target, r * grid.cdf_den**r)),
-        "weighted_power_sum": ((list(weighted), g_den**r), (target, r * grid.cdf_den**r)),
-        "cum_vs_cdf": ((below, g_den), (grid.cdf, grid.cdf_den)),
+        "weighted_power_sum": ((list(weighted), scale**r), (target, r * grid.cdf_den**r)),
+        "cum_vs_cdf": ((below, scale), (grid.cdf, grid.cdf_den)),
     }
 
-    def deviations(lhs, rhs, ls):
-        """|lhs - rhs| at each l in ls, as (numerators, denominator); exact
-        numerators share the denominator, so the largest is the worst l."""
-        (a, a_den), (b, b_den) = lhs, rhs
-        if grid.exact:
-            return [abs(a[l] * b_den - b[l] * a_den) for l in ls], a_den * b_den
-        return [abs(a[l] / a_den - b[l] / b_den) for l in ls], 1
-
-    values, den = deviations(([total], grid.m * grid.pdf_den), ([1], 1), [0])
+    riemann_total = ([_total(density, grid)], grid.m * grid.pdf_den)  # (1/m) sum f(l/m)
+    values, den = _deviations(riemann_total, ([1], 1), model.exact)
     out = {
         "normalization": LemmaDeviation(
-            "normalization", r, grid.m, _ratio(values[0], den, grid.exact), len(grid.pdf)
+            "normalization", r, grid.m, _ratio(values[0], den, model.exact), len(atoms)
         )
     }
     for name, (lhs, rhs) in relations.items():
-        values, den = deviations(lhs, rhs, atoms)
+        values, den = _deviations(lhs, rhs, model.exact)
         arg = max(atoms, key=values.__getitem__)
-        out[name] = LemmaDeviation(name, r, grid.m, _ratio(values[arg], den, grid.exact), arg)
+        out[name] = LemmaDeviation(name, r, grid.m, _ratio(values[arg], den, model.exact), arg)
     return out
 
 
 def _point_numerators(plan, positions, model):
-    """(numerators, denominator) of record_point_masses; 1 for a float model.
+    """(numerators, denominator) of record_point_masses.
 
     Forward recursion: at each level the new value must strictly exceed the
     comparison values added since the previous level (prefix mass G to the
     power of the cardinality gap minus one) and the previous level's value
-    (its strictly-below cumulative).  An exact model's masses are integer
-    weights over S, so a level with cardinality gap adds S^(gap+1) to the
-    denominator.
+    (its strictly-below cumulative).  The model's masses are weights over
+    its scale S, so a level with cardinality gap adds S^(gap+1) to the
+    denominator (1.0 for a float model, whose S is 1.0).
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
-    if model.exact:
-        g, scale = _common(model.masses)
-        big_g = list(accumulate(g, initial=0))
-    else:
-        g, big_g, scale = model.masses, model.prefix, 1
+    g, big_g, scale = model.weights, model.below, model.scale
     atoms = model.atom_count
 
     level = [1] * atoms  # previous level's point masses strictly below l; 1 before the first
@@ -344,5 +347,5 @@ def error_sweep(plan, positions, density, m_values):
         value = joint_record_prob_discrete(vplan, positions, model)
         # float - Fraction converts the Fraction, so a float model gets float errors
         err = abs(value - target)
-        rows.append(SweepRow(m=int(m), discrete=value, continuous=target, abs_error=err))
+        rows.append(SweepRow(m=model.m, discrete=value, continuous=target, abs_error=err))
     return tuple(rows)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, RankTooLarge
-from .plan import as_validated, check_positions
+from .plan import _index, as_validated, check_positions
 
 
 def _reciprocal_sum(cardinalities, power=1):
@@ -47,7 +47,7 @@ def _reciprocal_sum(cardinalities, power=1):
 
 def harmonic_number(j):
     """H_j = 1 + 1/2 + ... + 1/j as an exact Fraction."""
-    j = int(j)
+    j = _index(j, "j")
     if j < 1:
         raise IndexOutOfRange(f"need j >= 1, got {j}")
     return _reciprocal_sum(range(1, j + 1))
@@ -56,6 +56,7 @@ def harmonic_number(j):
 def cumulative_intensity(plan, j):
     """I_j = sum of 1/c(n_t) over n_t <= j: the expected record count, exact."""
     vplan = as_validated(plan)
+    j = _index(j, "j")
     if j < 1:
         raise IndexOutOfRange(f"horizon j={j} must be at least 1")
     return _reciprocal_sum(vplan.cardinalities[: bisect_right(vplan.indices, j)])
@@ -117,7 +118,7 @@ def record_count_moments(plan, j):
     positions with n_t <= j.  Variance never exceeds the mean.
     """
     vplan = as_validated(plan)
-    j = int(j)
+    j = _index(j, "j")
     if j < 1:
         raise IndexOutOfRange(f"need j >= 1, got {j}")
     used = bisect_right(vplan.indices, j)
@@ -161,10 +162,10 @@ def record_time_pmf(plan, r, t_max=None):
     start at position r since fewer trials cannot carry r successes.
     """
     vplan = as_validated(plan)
-    r = int(r)
+    r = _index(r, "record rank r")
     if r < 1:
         raise RankTooLarge(f"record rank must be >= 1, got {r}")
-    t_max = vplan.length if t_max is None else int(t_max)
+    t_max = vplan.length if t_max is None else _index(t_max, "t_max")
     if not 1 <= t_max <= vplan.length:
         raise IndexOutOfRange(f"t_max {t_max} not in 1..{vplan.length}")
     if r > t_max:

@@ -218,17 +218,9 @@ def exhaustive_discrete_joint(plan, positions, model, max_outcomes=4_000_000):
         vals[:, j] = (codes // atoms ** (k - 1 - j)) % atoms
     mask = np.logical_and.reduce(_event_masks(vplan, positions, rel, vals))
 
-    if model.exact:
-        denom = math.lcm(*(mass.denominator for mass in model.masses))
-        weights = [int(mass * denom) for mass in model.masses]
-        if denom**k * outcomes < 2**62:
-            warr = np.array(weights, dtype=np.int64)
-            prods = np.prod(warr[vals], axis=1)
-            return Fraction(int(prods[mask].sum()), denom**k)
-        # weights too large for int64 products: fall back to exact big ints
-        total = sum(math.prod(weights[l] for l in row) for row in vals[mask].tolist())
-        return Fraction(total, denom**k)
-
-    weights = np.array([float(mass) for mass in model.masses])
-    prods = np.prod(weights[vals], axis=1)
-    return float(prods[mask].sum())
+    # atom l weighs weights[l] / scale, so an outcome weighs its k weights'
+    # product over scale^k; int64 holds every partial sum below 2^62
+    scale = model.scale
+    dtype = (np.int64 if scale**k * outcomes < 2**62 else object) if model.exact else float
+    total = np.prod(np.array(model.weights, dtype=dtype)[vals[mask]], axis=1).sum()
+    return Fraction(int(total), scale**k) if model.exact else float(total)

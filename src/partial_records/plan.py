@@ -267,7 +267,7 @@ def check_positions(vplan, positions):
     within the plan.  Shared by the exact, oracle, simulation, and discrete
     layers so they agree on what a selection means.
     """
-    positions = tuple(int(t) for t in positions)
+    positions = tuple(_index(t, "a position") for t in positions)
     if not positions:
         raise EmptySelection("select at least one position")
     for a, b in zip(positions, positions[1:]):
@@ -362,7 +362,7 @@ class EventQuery:
 
     @classmethod
     def positive(cls, positions):
-        return cls(tuple(EventTerm(int(t)) for t in positions))
+        return cls(tuple(EventTerm(_index(t, "a position")) for t in positions))
 
     def positions(self):
         return tuple(term.position for term in self.terms)

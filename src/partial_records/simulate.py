@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .errors import IndexOutOfRange, RankTooLarge
-from .plan import as_validated, check_positions
+from .plan import _index, as_validated, check_positions
 
 # Fewest replications per block: below it a thread costs more than it saves.
 MIN_BLOCK = 2**14
@@ -121,19 +121,19 @@ class SimConfig:
 
     def resolved(self):
         vplan = as_validated(self.plan)
-        horizon = vplan.length if self.horizon is None else int(self.horizon)
+        horizon = vplan.length if self.horizon is None else _index(self.horizon, "horizon")
         if not 1 <= horizon <= vplan.length:
             raise IndexOutOfRange(f"horizon {horizon} not in 1..{vplan.length}")
-        n = int(self.replications)
+        n = _index(self.replications, "replications")
         if n < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
         joint = tuple(check_positions(vplan, self.joint_positions)) if self.joint_positions else ()
         if joint and joint[-1] > horizon:
             raise IndexOutOfRange(f"joint position {joint[-1]} beyond horizon {horizon}")
-        r_max = int(self.r_max)
+        r_max = _index(self.r_max, "r_max")
         if r_max < 0 or r_max > horizon:
             raise RankTooLarge(f"r_max {r_max} not in 0..{horizon}")
-        checkpoints = tuple(sorted({int(t) for t in self.checkpoints}))
+        checkpoints = tuple(sorted({_index(t, "a checkpoint") for t in self.checkpoints}))
         if checkpoints and not (1 <= checkpoints[0] and checkpoints[-1] <= horizon):
             raise IndexOutOfRange(f"checkpoints {checkpoints} outside 1..{horizon}")
         return vplan, horizon, n, joint, r_max, checkpoints

@@ -15,23 +15,44 @@ import pytest
 import partial_records as pr
 
 
+def _masses(model):
+    """An exact model's atom masses and strictly-below masses as Fractions."""
+    return (
+        [Fraction(w, model.scale) for w in model.weights],
+        [Fraction(b, model.scale) for b in model.below],
+    )
+
+
 def test_discretize_uniform_masses():
     model = pr.discretize(pr.uniform01(), 4)
     assert model.exact
     assert model.atom_count == 5
-    assert model.masses == (Fraction(1, 5),) * 5
-    assert model.prefix[0] == 0
-    assert model.prefix[3] == Fraction(3, 5)
-    assert model.prefix[5] == 1
+    masses, below = _masses(model)
+    assert masses == [Fraction(1, 5)] * 5
+    assert below[0] == 0
+    assert below[3] == Fraction(3, 5)
+    assert below[5] == 1
 
 
 def test_discretize_triangular_masses():
     model = pr.discretize(pr.triangular_density(), 4)
     # f at 0, 1/4, 1/2, 3/4, 1 is 0, 1, 2, 1, 0 before normalization
-    assert model.masses == (0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 0)
+    assert _masses(model)[0] == [0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 0]
     # a spec given its breakpoints as a list is just as usable
     listed = dataclasses.replace(pr.triangular_density(), breakpoints=[0.5])
-    assert pr.discretize(listed, 4).masses == model.masses
+    assert _masses(pr.discretize(listed, 4)) == _masses(model)
+
+
+def test_discretize_float_model_is_normalized_over_one():
+    grid = np.linspace(0.0, 1.0, 51)
+    tab = pr.tabulated_density(grid, 6 * grid * (1 - grid))
+    model = pr.discretize(tab, 6)
+    assert not model.exact
+    pdf = [float(tab.pdf(l / 6)) for l in range(7)]
+    assert model.weights == tuple(v / math.fsum(pdf) for v in pdf)
+    assert model.below[:-1] == tuple(accumulate(model.weights[:-1], initial=0.0))
+    assert model.below[-1] == 1.0
+    assert model.scale == 1
 
 
 def test_discretize_rejections():
@@ -204,10 +225,12 @@ def _reference_lemma(density, m, r):
 
 def _reference_point_masses(plan, positions, model):
     zero = Fraction(0) if model.exact else 0.0
+    # a float model's scale is 1.0, so its masses are its weights, bit for bit
+    masses, below = _masses(model) if model.exact else (model.weights, model.below)
     point, level, prev = None, None, 0
     for t in positions:
         gap = plan.cardinality(t) - prev - 1
-        point = [model.prefix[l] ** gap * model.masses[l] for l in range(model.atom_count)]
+        point = [below[l] ** gap * masses[l] for l in range(model.atom_count)]
         if level is not None:
             point = [p * b for p, b in zip(point, level)]
         level = _reference_prefix(point, zero)
@@ -222,8 +245,7 @@ def test_lemma_and_theta_equal_fraction_reference():
             pdf, cdf = _reference_grid(density, m)
             model = pr.discretize(density, m)
             masses = [v / sum(pdf) for v in pdf]
-            assert model.masses == tuple(masses)
-            assert model.prefix == tuple(_reference_prefix(masses))
+            assert _masses(model) == (masses, _reference_prefix(masses))
             for r in (1, 2, 3):
                 expected = _reference_lemma(density, m, r)
                 got = pr.lemma_checks(density, m, r)

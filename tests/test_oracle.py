@@ -131,6 +131,18 @@ def test_exhaustive_discrete_oracle_guard():
         pr.exhaustive_discrete_joint(plan, tuple(range(1, 11)), model, max_outcomes=10_000)
 
 
+def test_exhaustive_discrete_oracle_big_integer_path():
+    # smoothstep at m = 64: the outcomes' weight products can pass int64, so
+    # the enumeration sums Python integers; it must still equal the recursion
+    plan = pr.total_comparison_plan(3)
+    model = pr.discretize(pr.smoothstep_density(), 64)
+    k = len(pr.relevant_indices(plan, (2, 3)))
+    assert model.scale**k * model.atom_count**k >= 2**62
+    got = pr.exhaustive_discrete_joint(plan, (2, 3), model)
+    assert isinstance(got, Fraction)
+    assert got == pr.joint_record_prob_discrete(plan, (2, 3), model)
+
+
 def test_exhaustive_discrete_oracle_float_models():
     # tabulated densities have no rational hooks; oracle returns floats
     grid = np.linspace(0.0, 1.0, 51)

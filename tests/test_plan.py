@@ -78,6 +78,48 @@ def test_plan_constructors_reject_non_integers_and_keep_numpy_integers(build, ba
     assert plan.indices == tuple(range(1, plan.length + 1))
 
 
+_TEN = pr.total_comparison_plan(10)
+
+
+@pytest.mark.parametrize(
+    "call, bad, good, expected",
+    [
+        (lambda t: pr.record_prob(_TEN, t), 2.9, np.int64(2), Fraction(1, 2)),
+        (lambda ts: pr.joint_record_prob(_TEN, ts), (2.5, 3.7), np.arange(2, 4), Fraction(1, 6)),
+        (lambda r: pr.record_time_pmf(_TEN, r).r, 2.7, np.int64(2), 2),
+        (lambda t: pr.record_time_pmf(_TEN, 2, t).t_max, 5.5, np.int64(5), 5),
+        (pr.harmonic_number, 3.9, np.int64(3), Fraction(11, 6)),
+        (lambda j: pr.record_count_moments(_TEN, j).j, 4.5, np.int64(4), 4),
+        (lambda j: pr.cumulative_intensity(_TEN, j), 4.5, np.int64(4), Fraction(25, 12)),
+        (lambda ts: pr.EventQuery.positive(ts).positions(), (1.5, 3), (np.int8(1), 3), (1, 3)),
+        (lambda n: pr.SimConfig(_TEN, pr.uniform01(), n, 1).resolved()[2], 10.7, np.int64(10), 10),
+        (lambda h: pr.SimConfig(_TEN, pr.uniform01(), 5, 1, horizon=h).resolved()[1],
+         7.5, np.int64(7), 7),
+        (lambda r: pr.SimConfig(_TEN, pr.uniform01(), 5, 1, r_max=r).resolved()[4],
+         1.5, np.int64(1), 1),
+        (lambda c: pr.SimConfig(_TEN, pr.uniform01(), 5, 1, checkpoints=c).resolved()[5],
+         (2.5,), (np.int64(2),), (2,)),
+        (lambda m: pr.discretize(pr.uniform01(), m).m, 2.5, np.int64(2), 2),
+    ],
+    ids=[
+        "record_prob", "joint_record_prob", "record_time_pmf-r", "record_time_pmf-t_max",
+        "harmonic_number", "record_count_moments", "cumulative_intensity", "EventQuery.positive",
+        "SimConfig-replications", "SimConfig-horizon", "SimConfig-r_max", "SimConfig-checkpoints",
+        "discretize",
+    ],
+)
+def test_integer_inputs_reject_floats_and_keep_numpy_integers(call, bad, good, expected):
+    # one rule for every position, rank, horizon and size the package takes:
+    # int() would truncate the float, operator.index refuses it
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(bad)
+    got = call(good)
+    assert got == expected
+    assert type(got) is type(expected)
+    if isinstance(got, tuple):
+        assert set(map(type, got)) == {int}
+
+
 def test_chained_plan_must_start_at_one():
     with pytest.raises(pr.BadFirstIndex):
         pr.chained_plan([2, 3, 4])
