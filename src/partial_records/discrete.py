@@ -100,8 +100,10 @@ def _common(fractions):
 
 
 def _check_power(r):
+    r = _index(r, "power r")
     if r < 1:
         raise BadParams(f"power r must be >= 1, got {r}")
+    return r
 
 
 def _grid_top(density, m):
@@ -187,9 +189,10 @@ def theta(density, m, l, r=1):
     laws.  l may run to top_index+1 (the full-grid sum).
     """
     grid = _grid(density, m)
+    l = _index(l, "grid index l")
     if not 0 <= l <= len(grid.pdf):
         raise IndexOutOfRange(f"l={l} not in 0..{len(grid.pdf)}")
-    _check_power(r)
+    r = _check_power(r)
     sums, den = _riemann(grid, r)
     return _ratio(sums[l], den, grid.exact)
 
@@ -223,7 +226,7 @@ def lemma_checks(density, m, r=1):
     argmax_l is the first maximal l.  Exact rational when the density has
     Fraction hooks.  Returns {relation: LemmaDeviation}.
     """
-    _check_power(r)
+    r = _check_power(r)
     grid = _grid(density, m)
     model = _model(density, grid)
     atoms = range(model.atom_count)

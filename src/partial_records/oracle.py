@@ -6,7 +6,10 @@ check:
 * exact_joint / exact_joint_table enumerate rank orderings of the relevant
   indices.  For continuous i.i.d. values every ordering of distinct values
   is equally likely, so any record-event probability is (#orderings where
-  the event holds) / k!, an exact rational.
+  the event holds) / k!, an exact rational.  The orderings are streamed in
+  blocks of at most 8! that share their first k - 8 items, one int8 row per
+  relevant index, so a block takes about 8!·k bytes (403 kB at k = 10) and
+  the enumeration never holds the 36 MB table of all 10! orderings.
 
 * quadrature_bounded integrates the defining recursion for joint record
   events whose last value falls below x: level k conditions on the value z
@@ -21,6 +24,7 @@ check:
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -37,6 +41,7 @@ from .plan import EventQuery, as_validated, check_positions
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
 _PERM_LIMIT = 10
+_BLOCK = 8  # orderings come in blocks of 8!, one per prefix of the other items
 
 
 def _perm_table(k):
@@ -48,10 +53,6 @@ def _perm_table(k):
     table is built that way, transposed, and returned as a column-major view
     so that each item's column is contiguous.
     """
-    if k > _PERM_LIMIT:
-        raise TooManyIndices(
-            f"{k} relevant indices implies {k}! orderings; limit is {_PERM_LIMIT}"
-        )
     if k not in _PERM_CACHE:
         table = np.empty((0, 1), dtype=np.int8)  # the one ordering of no items
         for n in range(1, k + 1):
@@ -67,6 +68,33 @@ def _perm_table(k):
     return _PERM_CACHE[k]
 
 
+def _ordering_blocks(k, max_indices=_PERM_LIMIT):
+    """All k! orderings of k items in itertools.permutations order, as
+    index-major (k, rows) int8 blocks of ranks: row j holds item j's rank.
+
+    For k <= 8 the one block is the whole table.  Above that each block is
+    one prefix of k - 8 items followed by the 8! orderings of the other 8,
+    in ascending order; the block holds 8!·k bytes whatever k is.
+    """
+    if k > max_indices:
+        raise TooManyIndices(f"{k} relevant indices exceeds requested cap {max_indices}")
+    if k > _PERM_LIMIT:
+        raise TooManyIndices(
+            f"{k} relevant indices implies {k}! orderings; limit is {_PERM_LIMIT}"
+        )
+    if k <= _BLOCK:
+        yield _perm_table(k).T
+        return
+    head = k - _BLOCK
+    base = _perm_table(_BLOCK).T.astype(np.intp)  # an intp index takes 3x less time
+    for prefix in itertools.permutations(range(k), head):
+        block = np.empty((k, base.shape[1]), dtype=np.int8)
+        block[:head] = np.reshape(prefix, (head, 1))
+        rest = np.array([i for i in range(k) if i not in prefix], dtype=np.int8)
+        np.take(rest, base, out=block[head:])
+        yield block
+
+
 def relevant_indices(plan, positions):
     """Sequence indices whose relative order decides the selected events."""
     vplan = as_validated(plan)
@@ -79,26 +107,17 @@ def relevant_indices(plan, positions):
 
 
 def _event_masks(vplan, positions, rel, values):
-    """Per selected position, which rows of values (one column per relevant
+    """Per selected position, which columns of values (one row per relevant
     index) have the candidate strictly above every comparison value."""
-    col = {idx: j for j, idx in enumerate(rel)}
+    row = {idx: j for j, idx in enumerate(rel)}
     masks = []
     for t in positions:
-        cand = values[:, col[vplan.index(t)]]
-        members = [col[e] for e in sorted(vplan.comparison_set(t))]
         # ranks and atoms are >= 0, so an empty comparison set is always beaten
-        masks.append(cand > values[:, members].max(axis=1, initial=-1))
+        top = np.full(values.shape[1], -1, dtype=values.dtype)
+        for e in vplan.comparison_set(t):
+            np.maximum(top, values[row[e]], out=top)
+        masks.append(values[row[vplan.index(t)]] > top)
     return masks
-
-
-def _ordering_masks(vplan, positions, max_indices):
-    """The event masks over all k! orderings of the k relevant indices, and k!."""
-    rel = relevant_indices(vplan, positions)
-    if len(rel) > max_indices:
-        raise TooManyIndices(
-            f"{len(rel)} relevant indices exceeds requested cap {max_indices}"
-        )
-    return _event_masks(vplan, positions, rel, _perm_table(len(rel))), math.factorial(len(rel))
 
 
 def exact_joint(plan, query, max_indices=_PERM_LIMIT):
@@ -111,11 +130,15 @@ def exact_joint(plan, query, max_indices=_PERM_LIMIT):
     if not isinstance(query, EventQuery):
         query = EventQuery.positive(query)
     vplan = as_validated(plan)
-    masks, total = _ordering_masks(vplan, query.positions(), max_indices)
-    combined = np.ones(total, dtype=bool)
-    for term, mask in zip(query.terms, masks):
-        combined &= ~mask if term.negated else mask
-    return Fraction(int(np.count_nonzero(combined)), total)
+    positions = query.positions()
+    rel = relevant_indices(vplan, positions)
+    hits = 0
+    for block in _ordering_blocks(len(rel), max_indices):
+        combined = np.ones(block.shape[1], dtype=bool)
+        for term, mask in zip(query.terms, _event_masks(vplan, positions, rel, block)):
+            combined &= ~mask if term.negated else mask
+        hits += int(np.count_nonzero(combined))
+    return Fraction(hits, math.factorial(len(rel)))
 
 
 def exact_joint_table(plan, positions=None, max_indices=_PERM_LIMIT):
@@ -129,20 +152,23 @@ def exact_joint_table(plan, positions=None, max_indices=_PERM_LIMIT):
     if positions is None:
         positions = tuple(range(1, vplan.length + 1))
     positions = check_positions(vplan, positions)
-    masks, total = _ordering_masks(vplan, positions, max_indices)
+    rel = relevant_indices(vplan, positions)
 
     # bits <= len(rel) <= _PERM_LIMIT, so every code fits in 16 bits
     bits = len(positions)
-    code = np.zeros(total, dtype=np.uint16)
-    for b, mask in enumerate(masks):
-        code |= mask.astype(np.uint16) << b
-    counts = np.bincount(code, minlength=1 << bits).astype(np.int64)
+    counts = np.zeros(1 << bits, dtype=np.int64)
+    for block in _ordering_blocks(len(rel), max_indices):
+        code = np.zeros(block.shape[1], dtype=np.uint16)
+        for b, mask in enumerate(_event_masks(vplan, positions, rel, block)):
+            code |= mask.astype(np.uint16) << b
+        counts += np.bincount(code, minlength=1 << bits)
     for b in range(bits):
         bit = 1 << b
         for m in range(1 << bits):
             if not m & bit:
                 counts[m] += counts[m | bit]
 
+    total = math.factorial(len(rel))
     table = {}
     for m in range(1, 1 << bits):
         subset = tuple(positions[b] for b in range(bits) if m >> b & 1)
@@ -213,14 +239,14 @@ def exhaustive_discrete_joint(plan, positions, model, max_outcomes=4_000_000):
         )
 
     codes = np.arange(outcomes, dtype=np.int64)
-    vals = np.empty((outcomes, k), dtype=np.int32)
+    vals = np.empty((k, outcomes), dtype=np.int32)
     for j in range(k):
-        vals[:, j] = (codes // atoms ** (k - 1 - j)) % atoms
+        vals[j] = (codes // atoms ** (k - 1 - j)) % atoms
     mask = np.logical_and.reduce(_event_masks(vplan, positions, rel, vals))
 
     # atom l weighs weights[l] / scale, so an outcome weighs its k weights'
     # product over scale^k; int64 holds every partial sum below 2^62
     scale = model.scale
     dtype = (np.int64 if scale**k * outcomes < 2**62 else object) if model.exact else float
-    total = np.prod(np.array(model.weights, dtype=dtype)[vals[mask]], axis=1).sum()
+    total = np.prod(np.array(model.weights, dtype=dtype)[vals[:, mask]], axis=0).sum()
     return Fraction(int(total), scale**k) if model.exact else float(total)

@@ -1,13 +1,16 @@
 """The verification oracles themselves, pinned on hand-checkable cases."""
 
+import functools
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import partial_records as pr
-from partial_records.oracle import _perm_table
+from partial_records.oracle import _ordering_blocks, _perm_table
 
 
 def test_permutation_oracle_trivial_cases(total5):
@@ -53,8 +56,9 @@ def test_perm_table_matches_itertools_order(k):
 
 def test_perm_table_edges():
     assert _perm_table(0).shape == (1, 0)
+    assert [b.shape for b in _ordering_blocks(0)] == [(0, 1)]
     with pytest.raises(pr.TooManyIndices):
-        _perm_table(11)
+        next(_ordering_blocks(11))
 
 
 def test_permutation_oracle_at_the_index_cap():
@@ -72,6 +76,108 @@ def test_permutation_oracle_at_the_index_cap():
         p = Fraction(1, term.position)
         want *= 1 - p if term.negated else p
     assert pr.exact_joint(plan, q) == want
+
+
+def test_ordering_blocks_concatenate_to_itertools_order():
+    k = 9
+    want = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(k))),
+        dtype=np.int8,
+        count=k * math.factorial(k),
+    ).reshape(-1, k)
+    blocks = [block.T for block in _ordering_blocks(k)]
+    assert [b.shape for b in blocks] == [(math.factorial(8), k)] * k
+    np.testing.assert_array_equal(np.concatenate(blocks), want)
+
+
+def test_ordering_blocks_at_the_limit_are_90_ascending_blocks():
+    # each column read as a base-10 number: strictly ascending over all 10!
+    # permutation columns is exactly itertools.permutations order
+    k = 10
+    weights = 10 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    heads = list(itertools.permutations(range(k), 2))
+    last, count = -1, 0
+    for n, block in enumerate(_ordering_blocks(k)):
+        assert block.dtype == np.int8 and block.shape == (k, math.factorial(8))
+        assert np.all(np.bitwise_or.reduce(1 << block.astype(np.int16), axis=0) == 2**k - 1)
+        np.testing.assert_array_equal(block[:2, 0], heads[n])
+        codes = weights @ block.astype(np.int64)
+        assert codes[0] > last and np.all(np.diff(codes) > 0)
+        last, count = codes[-1], count + 1
+    assert count == len(heads) == 90
+
+
+@functools.lru_cache(maxsize=1)
+def _all_orderings(k):
+    """Every ordering of k items as one (k!, k) table, straight from itertools."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
+    return np.fromiter(flat, dtype=np.int8, count=k * math.factorial(k)).reshape(-1, k)
+
+
+def _reference_masks(vplan, positions):
+    """Per position, over the full table of orderings of the relevant indices,
+    whether the candidate beats every member of its comparison set."""
+    rel = pr.relevant_indices(vplan, positions)
+    values = _all_orderings(len(rel))
+    col = {idx: j for j, idx in enumerate(rel)}
+    masks = []
+    for t in positions:
+        members = [col[e] for e in vplan.comparison_set(t)]
+        top = values[:, members].max(axis=1, initial=-1)
+        masks.append(values[:, col[vplan.index(t)]] > top)
+    return masks, len(values)
+
+
+def _random_plans():
+    plans = []
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        raw = pr.random_compatible_plan(rng, max_index=(6, 7, 8, 9, 10)[seed % 5])
+        plans.append((pr.as_validated(raw), rng))
+    # the reference table is cached for one k at a time
+    return sorted(plans, key=lambda p: len(pr.relevant_indices(p[0], range(1, p[0].length + 1))))
+
+
+def test_permutation_oracle_equals_full_table_reference_on_random_plans():
+    interleaved = multi_block = 0
+    for vplan, rng in _random_plans():
+        positions = tuple(range(1, vplan.length + 1))
+        rel = pr.relevant_indices(vplan, positions)
+        fresh = set(rel) - set(vplan.indices)
+        interleaved += bool(fresh) and min(fresh) < max(vplan.indices)
+        multi_block += len(rel) > 8
+        masks, total = _reference_masks(vplan, positions)
+
+        # orderings by the set of events they satisfy; a subset's joint
+        # event holds on every set that contains it
+        code = sum(mask.astype(np.int64) << b for b, mask in enumerate(masks))
+        by_set = np.bincount(code, minlength=2 ** len(positions))
+        sets = np.arange(len(by_set))
+        table = pr.exact_joint_table(vplan, max_indices=10)
+        assert len(table) == len(by_set) - 1
+        for subset, prob in table.items():
+            m = sum(1 << (t - 1) for t in subset)
+            assert prob == Fraction(int(by_set[sets & m == m].sum()), total), subset
+
+        negated = rng.random(len(positions)) < 0.5
+        query = pr.EventQuery(tuple(pr.EventTerm(t, bool(n)) for t, n in zip(positions, negated)))
+        hold = np.logical_and.reduce([~m if n else m for m, n in zip(masks, negated)])
+        assert pr.exact_joint(vplan, query, max_indices=10) == Fraction(
+            int(np.count_nonzero(hold)), total
+        )
+    assert interleaved >= 10 and multi_block >= 5
+
+
+def test_permutation_oracle_memory_stays_within_a_block():
+    # the whole 10! table and its masks would take about 100 MB
+    plan = pr.total_comparison_plan(10)
+    tracemalloc.start()
+    try:
+        pr.exact_joint_table(plan, max_indices=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_quadrature_recovers_base_closed_form(total5):

@@ -79,6 +79,8 @@ def test_plan_constructors_reject_non_integers_and_keep_numpy_integers(build, ba
 
 
 _TEN = pr.total_comparison_plan(10)
+_XS = np.linspace(0, 1, 51)
+_TAB = pr.tabulated_density(_XS, 6 * _XS * (1 - _XS), name="tabulated smoothstep")
 
 
 @pytest.mark.parametrize(
@@ -100,12 +102,17 @@ _TEN = pr.total_comparison_plan(10)
         (lambda c: pr.SimConfig(_TEN, pr.uniform01(), 5, 1, checkpoints=c).resolved()[5],
          (2.5,), (np.int64(2),), (2,)),
         (lambda m: pr.discretize(pr.uniform01(), m).m, 2.5, np.int64(2), 2),
+        (lambda l: pr.theta(pr.uniform01(), 4, l), 2.5, np.int64(2), Fraction(1, 2)),
+        (lambda r: pr.theta(pr.uniform01(), 4, 2, r=r), 1.5, np.int64(2), Fraction(1, 16)),
+        (lambda r: pr.lemma_checks(pr.uniform01(), 4, r=r)["cum_vs_cdf"].r, 1.5, np.int64(2), 2),
+        # a float grid has no Fraction arithmetic to trip over a float power
+        (lambda r: pr.lemma_checks(_TAB, 4, r=r)["cum_vs_cdf"].r, 1.5, np.int64(2), 2),
     ],
     ids=[
         "record_prob", "joint_record_prob", "record_time_pmf-r", "record_time_pmf-t_max",
         "harmonic_number", "record_count_moments", "cumulative_intensity", "EventQuery.positive",
         "SimConfig-replications", "SimConfig-horizon", "SimConfig-r_max", "SimConfig-checkpoints",
-        "discretize",
+        "discretize", "theta-l", "theta-r", "lemma_checks-r", "lemma_checks-r-float-grid",
     ],
 )
 def test_integer_inputs_reject_floats_and_keep_numpy_integers(call, bad, good, expected):
