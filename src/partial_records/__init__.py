@@ -50,7 +50,7 @@ from .distributions import (
     DensitySpec,
     builtin,
     power_density,
-    sample,
+    rational_density,
     smoothstep_density,
     tabulated_density,
     tabulated_from_csv,

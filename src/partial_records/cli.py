@@ -107,6 +107,8 @@ def cmd_validate(args):
 # exact
 
 def cmd_exact(args):
+    if args.t_max is not None and args.r is None:
+        raise ValueError("--t-max needs --r")
     vplan = _plan.as_validated(_plan.load_plan_file(args.plan))
     positions = _parse_list(args.positions, "--positions")
     out = {

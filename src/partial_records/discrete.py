@@ -12,18 +12,18 @@ quantities:
   converges to the continuous product formula at rate O(1/m) with constant
   controlled by the density's smoothness bound.
 
-One rule picks the arithmetic: a density carrying its Fraction hooks (a
-DensitySpec has both pdf_fraction and cdf_fraction or neither) is evaluated
-in exact rationals, any other density in floats.  _grid applies the rule,
-once per (density, m), and the DiscreteModel built from the grid carries it:
-atom l has mass weights[l] / scale, with an exact model's integer pdf
-numerators over their sum, a float model's normalized masses over 1.0.  The
-recursion, the lemma checks and the exhaustive oracle read those numbers
-with no branch of their own.  _zero and _ratio give a value its type, and
-_deviations cross-multiplies exact lemma sides where float ones divide.  So
-exact grid identities (and the deviations themselves) are free of rounding
-noise, without a gcd per operation, and a Fraction is built only for each
-returned value.
+One rule picks the arithmetic: a density with polynomial pieces (built by
+distributions.rational_density) is evaluated in exact integers, any other
+density in floats.  _grid applies the rule, once per (density, m), and the
+DiscreteModel built from the grid carries it: atom l has mass
+weights[l] / scale, with an exact model's integer pdf numerators over their
+sum, a float model's normalized masses over 1.0.  The recursion, the lemma
+checks and the exhaustive oracle read those numbers with no branch of their
+own.  _zero and _ratio give a value its type, and _deviations
+cross-multiplies exact lemma sides where float ones divide.  So exact grid
+identities (and the deviations themselves) are free of rounding noise,
+without a gcd per operation, and a Fraction is built only for each returned
+value.
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ def _deviations(lhs, rhs, exact):
     return [abs(x / a_den - y / b_den) for x, y in zip(a, b)], 1
 
 
-def _common(fractions):
-    """(numerators, d): the Fractions as integer numerators over their lcm d."""
-    d = math.lcm(*(v.denominator for v in fractions))
-    return tuple(v.numerator * (d // v.denominator) for v in fractions), d
-
-
 def _check_power(r):
     r = _index(r, "power r")
     if r < 1:
@@ -124,7 +118,7 @@ def _grid_top(density, m):
 class _Grid(NamedTuple):
     """f(l/m) = pdf[l]/pdf_den for l = 0..top and F(l/m) = cdf[l]/cdf_den for
     l = 0..top+1 (1 past the support).  Exact grids hold integer numerators
-    over lcm denominators, float grids the float values over 1."""
+    over their least common denominator, float grids the float values over 1."""
 
     m: int
     exact: bool
@@ -140,15 +134,15 @@ class _Grid(NamedTuple):
 def _grid(density, m):
     m = _index(m, "grid resolution m")
     top = _grid_top(density, m)
-    if density.pdf_fraction is None:
+    pieces = density.pieces
+    if pieces is None:
         xs = [float(l) / m for l in range(top + 1)]
         pdf = tuple(float(density.pdf(x)) for x in xs)
         cdf = tuple(float(density.cdf(x)) for x in xs) + (1.0,)
         return _Grid(m, False, pdf, 1, cdf, 1)
-    xs = [Fraction(l, m) for l in range(top + 1)]
-    pdf, pdf_den = _common([Fraction(density.pdf_fraction(x)) for x in xs])
-    cdf, cdf_den = _common([Fraction(density.cdf_fraction(x)) for x in xs] + [Fraction(1)])
-    return _Grid(m, True, pdf, pdf_den, cdf, cdf_den)
+    pdf, pdf_den = pieces.grid(pieces.pdf, m, top + 1)
+    cdf, cdf_den = pieces.grid(pieces.cdf, m, top + 1)
+    return _Grid(m, True, pdf, pdf_den, cdf + (cdf_den,), cdf_den)
 
 
 def _total(density, grid):
@@ -224,7 +218,7 @@ def lemma_checks(density, m, r=1):
     Maxima are over the atom grid l = 0..top_index (normalization is a
     single full-grid deviation, reported with argmax_l = top_index + 1), and
     argmax_l is the first maximal l.  Exact rational when the density has
-    Fraction hooks.  Returns {relation: LemmaDeviation}.
+    polynomial pieces.  Returns {relation: LemmaDeviation}.
     """
     r = _check_power(r)
     grid = _grid(density, m)
@@ -339,7 +333,7 @@ def error_sweep(plan, positions, density, m_values):
     """Discrete joint probability against the continuous product over m.
 
     The scaled column m * |error| staying bounded is the O(1/m) guarantee
-    in action; rows are exact rationals when the density has hooks.
+    in action; rows are exact rationals when the density has polynomial pieces.
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)

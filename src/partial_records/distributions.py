@@ -1,10 +1,12 @@
-"""Densities on [0, M]: built-in families, tabulated input, and sampling.
+"""Densities on [0, M]: built-in families and tabulated input.
 
-Every density carries vectorized pdf/cdf/inverse_cdf callables plus, when the
-family is rational, exact Fraction-valued pdf/cdf hooks used by the discrete
-approximation layer.  The smoothness bound C >= max(sup|f|, sup|f'|) drives
-the O(1/m) discretization error guarantee; estimated bounds (tabulated input,
-finite differences) are flagged as such.
+Every density carries vectorized pdf/cdf/inverse_cdf callables.  A rational
+family is defined once, as polynomial pieces with Fraction coefficients
+between Fraction cuts (rational_density); its cdf pieces, float pdf/cdf and
+breakpoints all derive from them, and the discrete approximation layer reads
+the pieces to evaluate its grids in exact integers.  The smoothness bound
+C >= max(sup|f|, sup|f'|) drives the O(1/m) discretization error guarantee;
+estimated bounds (tabulated input, finite differences) are flagged as such.
 
 Support always starts at 0.  pdf evaluates to 0 outside [0, M] and cdf clips
 to [0, 1], so grid scans may safely step slightly past the support.
@@ -16,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,48 @@ BUILTIN_FAMILIES = (
 )
 
 
+def _horner(coefficients, x):
+    """sum_k coefficients[k] * x^k, constant term first; exact for int or
+    Fraction inputs, elementwise for numpy arrays."""
+    acc = 0
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
+class Pieces(NamedTuple):
+    """A piecewise polynomial density on [0, cuts[-1]]: on the piece from
+    cuts[j] to cuts[j+1] the pdf is _horner(pdf[j], x) and the cdf
+    _horner(cdf[j], x), with Fraction cuts and coefficients.  A point on a
+    cut belongs to the piece on its left."""
+
+    cuts: tuple
+    pdf: tuple
+    cdf: tuple
+
+    def grid(self, polys, m, count):
+        """(numerators, denominator) of polys (self.pdf or self.cdf) at l/m
+        for l = 0..count-1, count <= cuts[-1]*m + 1, in lowest terms.
+
+        Integer Horner over the denominator lcm(coefficient denominators) *
+        m^degree, then one division by the gcd of all numerators and it."""
+        degree = max(map(len, polys)) - 1
+        lcm = math.lcm(*(c.denominator for poly in polys for c in poly))
+        nums = []
+        for cut, poly in zip(self.cuts[1:], polys):
+            # c_k * lcm * m^(degree-k): Horner in l gives the value at l/m
+            # times the denominator
+            ints = [
+                c.numerator * (lcm // c.denominator) * m ** (degree - k)
+                for k, c in enumerate(poly)
+            ]
+            end = min(count, math.floor(cut * m) + 1)  # l/m <= cut
+            nums.extend(_horner(ints, l) for l in range(len(nums), end))
+        den = lcm * m**degree
+        common = math.gcd(den, *nums)
+        return tuple(v // common for v in nums), den // common
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """A continuous density on [0, support_upper] (inf for unbounded tails).
@@ -43,9 +87,8 @@ class DensitySpec:
     non-decreasing, because simulation compares uniforms, and a pure
     function, because a run calls it from several threads at once on
     disjoint arrays (the built-in and tabulated densities are).
-    pdf_fraction and cdf_fraction map a Fraction in [0, M] to an exact
-    Fraction value; they come in pairs (both or neither), and with them the
-    discrete layer stays in rational arithmetic.
+    pieces, set by rational_density, holds the exact piecewise polynomial
+    pdf and cdf; with it the discrete layer stays in exact arithmetic.
     """
 
     name: str
@@ -55,14 +98,11 @@ class DensitySpec:
     inverse_cdf: Callable
     smoothness_bound: float | None = None
     smoothness_is_estimate: bool = False
-    pdf_fraction: Callable | None = None
-    cdf_fraction: Callable | None = None
+    pieces: Pieces | None = None
     # interior points where the pdf loses smoothness; quadrature splits here
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if (self.pdf_fraction is None) != (self.cdf_fraction is None):
-            raise BadParams(f"{self.name}: pdf_fraction and cdf_fraction come in pairs")
         # a tuple keeps the spec hashable, so discrete grids can be cached by it
         object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
 
@@ -95,17 +135,55 @@ def _clipped_cdf(upper, inside):
     return cdf
 
 
-def uniform01():
+def _piecewise(cuts, polys):
+    """Float evaluator of the pieces on [0, cuts[-1]]; searchsorted's left
+    side gives a point on a cut the piece on its left."""
+    inner = np.array([float(c) for c in cuts[1:-1]])
+    width = max(map(len, polys))
+    table = np.array([[float(c) for c in poly] + [0.0] * (width - len(poly)) for poly in polys])
+    return lambda x: _horner(table[np.searchsorted(inner, x)].T, x)
+
+
+def rational_density(name, cuts, pdf, inverse_cdf, smoothness_bound):
+    """A density whose pdf is a polynomial between consecutive cuts.
+
+    cuts rise from 0 to the support bound M; pdf[j] lists the coefficients
+    (constant term first, each a Fraction or int) on the piece from cuts[j]
+    to cuts[j+1].  The cdf pieces come by exact integration, the float
+    pdf/cdf by Horner evaluation, the breakpoints from the interior cuts.
+    Raises BadParams unless the pieces fit the cuts and the exact mass is 1.
+    """
+    cuts = tuple(map(Fraction, cuts))
+    pdf = tuple(tuple(map(Fraction, poly)) for poly in pdf)
+    if cuts[:1] != (0,) or len(pdf) != len(cuts) - 1 or any(a >= b for a, b in zip(cuts, cuts[1:])):
+        raise BadParams(f"{name}: cuts must rise from 0, one pdf piece between each pair")
+    cdf, mass = [], Fraction(0)  # mass: the cdf at the piece's left cut
+    for lo, hi, poly in zip(cuts, cuts[1:], pdf):
+        anti = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(poly)]
+        anti[0] = mass - _horner(anti, lo)
+        cdf.append(tuple(anti))
+        mass = _horner(anti, hi)
+    if mass != 1:
+        raise BadParams(f"{name}: the pdf has mass {mass}, not 1")
+    upper = float(cuts[-1])
     return DensitySpec(
-        name="uniform01",
-        support_upper=1.0,
-        pdf=_masked(1.0, lambda x: np.ones_like(x)),
-        cdf=_clipped_cdf(1.0, lambda x: x),
-        inverse_cdf=lambda u: np.clip(np.asarray(u, dtype=float), 0.0, 1.0),
-        smoothness_bound=1.0,
-        pdf_fraction=lambda x: Fraction(1),
-        cdf_fraction=lambda x: Fraction(x),
+        name=name,
+        support_upper=upper,
+        pdf=_masked(upper, _piecewise(cuts, pdf)),
+        cdf=_clipped_cdf(upper, _piecewise(cuts, cdf)),
+        inverse_cdf=inverse_cdf,
+        smoothness_bound=smoothness_bound,
+        pieces=Pieces(cuts, pdf, tuple(cdf)),
+        breakpoints=tuple(float(c) for c in cuts[1:-1]),
     )
+
+
+def _clip01(u):
+    return np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+
+
+def uniform01():
+    return rational_density("uniform01", (0, 1), [(1,)], _clip01, 1.0)
 
 
 def power_density(k):
@@ -118,26 +196,18 @@ def power_density(k):
         return uniform01()
 
     # sup|f| = k at x=1; f' = k(k-1)x^(k-2) is bounded only for k >= 2
-    if k_frac >= 2:
-        bound = max(kf, kf * (kf - 1.0))
-    else:
-        bound = None
-
-    exact_pdf = exact_cdf = None
+    bound = max(kf, kf * (kf - 1.0)) if k_frac >= 2 else None
+    inverse = lambda u: np.power(_clip01(u), 1.0 / kf)
     if k_frac.denominator == 1:
         ki = k_frac.numerator
-        exact_pdf = lambda x: ki * Fraction(x) ** (ki - 1)
-        exact_cdf = lambda x: Fraction(x) ** ki
-
+        return rational_density(f"power({ki})", (0, 1), [(0,) * (ki - 1) + (ki,)], inverse, bound)
     return DensitySpec(
-        name=f"power({k_frac.numerator})" if k_frac.denominator == 1 else f"power({kf})",
+        name=f"power({kf})",
         support_upper=1.0,
         pdf=_masked(1.0, lambda x: kf * np.power(x, kf - 1.0)),
         cdf=_clipped_cdf(1.0, lambda x: np.power(x, kf)),
-        inverse_cdf=lambda u: np.power(np.clip(np.asarray(u, dtype=float), 0.0, 1.0), 1.0 / kf),
+        inverse_cdf=inverse,
         smoothness_bound=bound,
-        pdf_fraction=exact_pdf,
-        cdf_fraction=exact_cdf,
     )
 
 
@@ -145,58 +215,22 @@ def smoothstep_density():
     """f(x) = 6x(1-x) on [0, 1], F(x) = 3x^2 - 2x^3."""
 
     def inverse(u):
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         # F(x) = u  <=>  x = 1/2 - sin(arcsin(1 - 2u)/3)
-        return 0.5 - np.sin(np.arcsin(1.0 - 2.0 * u) / 3.0)
+        return 0.5 - np.sin(np.arcsin(1.0 - 2.0 * _clip01(u)) / 3.0)
 
-    return DensitySpec(
-        name="smoothstep",
-        support_upper=1.0,
-        pdf=_masked(1.0, lambda x: 6.0 * x * (1.0 - x)),
-        cdf=_clipped_cdf(1.0, lambda x: x * x * (3.0 - 2.0 * x)),
-        inverse_cdf=inverse,
-        smoothness_bound=6.0,
-        pdf_fraction=lambda x: 6 * Fraction(x) * (1 - Fraction(x)),
-        cdf_fraction=lambda x: Fraction(x) ** 2 * (3 - 2 * Fraction(x)),
-    )
+    return rational_density("smoothstep", (0, 1), [(0, 6, -6)], inverse, 6.0)
 
 
 def triangular_density():
     """Symmetric triangle on [0, 1] peaking at 1/2."""
 
-    def pdf_inside(x):
-        return np.where(x <= 0.5, 4.0 * x, 4.0 * (1.0 - x))
-
-    def cdf_inside(x):
-        return np.where(x <= 0.5, 2.0 * x * x, 1.0 - 2.0 * (1.0 - x) ** 2)
-
     def inverse(u):
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        u = _clip01(u)
         lo = np.sqrt(np.maximum(u, 0.0) / 2.0)
         hi = 1.0 - np.sqrt(np.maximum(1.0 - u, 0.0) / 2.0)
         return np.where(u <= 0.5, lo, hi)
 
-    half = Fraction(1, 2)
-
-    def exact_pdf(x):
-        x = Fraction(x)
-        return 4 * x if x <= half else 4 * (1 - x)
-
-    def exact_cdf(x):
-        x = Fraction(x)
-        return 2 * x * x if x <= half else 1 - 2 * (1 - x) ** 2
-
-    return DensitySpec(
-        name="triangular",
-        support_upper=1.0,
-        pdf=_masked(1.0, pdf_inside),
-        cdf=_clipped_cdf(1.0, cdf_inside),
-        inverse_cdf=inverse,
-        smoothness_bound=4.0,
-        pdf_fraction=exact_pdf,
-        cdf_fraction=exact_cdf,
-        breakpoints=(0.5,),
-    )
+    return rational_density("triangular", (0, Fraction(1, 2), 1), [(0, 4), (4, -4)], inverse, 4.0)
 
 
 def truncated_ramp_density(cap=Fraction(1, 2)):
@@ -212,41 +246,16 @@ def truncated_ramp_density(cap=Fraction(1, 2)):
     capf, zf = float(cap_frac), float(z_frac)
     u_knee = float(cap_frac * cap_frac / 2 / z_frac)
 
-    def pdf_inside(x):
-        return np.minimum(x, capf) / zf
-
-    def cdf_inside(x):
-        ramp = x * x / 2.0
-        flat = capf * capf / 2.0 + capf * (x - capf)
-        return np.where(x <= capf, ramp, flat) / zf
-
     def inverse(u):
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        u = _clip01(u)
         lo = np.sqrt(np.maximum(2.0 * zf * u, 0.0))
         hi = capf / 2.0 + zf * u / capf
         return np.where(u <= u_knee, lo, hi)
 
-    def exact_pdf(x):
-        x = Fraction(x)
-        return min(x, cap_frac) / z_frac
-
-    def exact_cdf(x):
-        x = Fraction(x)
-        if x <= cap_frac:
-            return x * x / 2 / z_frac
-        return (cap_frac * cap_frac / 2 + cap_frac * (x - cap_frac)) / z_frac
-
-    return DensitySpec(
-        name=f"truncated_ramp({cap_frac})",
-        support_upper=1.0,
-        pdf=_masked(1.0, pdf_inside),
-        cdf=_clipped_cdf(1.0, cdf_inside),
-        inverse_cdf=inverse,
-        smoothness_bound=max(1.0 / zf, capf / zf),
-        pdf_fraction=exact_pdf,
-        cdf_fraction=exact_cdf,
-        breakpoints=(capf,) if capf < 1.0 else (),
-    )
+    ramp, flat = (0, 1 / z_frac), (cap_frac / z_frac,)
+    cuts, pdf = ((0, cap_frac, 1), [ramp, flat]) if cap_frac < 1 else ((0, 1), [ramp])
+    bound = max(1.0 / zf, capf / zf)
+    return rational_density(f"truncated_ramp({cap_frac})", cuts, pdf, inverse, bound)
 
 
 _NAME_RE = re.compile(r"^([a-z][a-z0-9_]*)(?:\((.*)\))?$")
@@ -281,17 +290,6 @@ def builtin(name):
     if not fewest <= len(args) <= most:
         raise BadParams(f"{family} takes {fewest} to {most} parameters, got {len(args)}")
     return factory(*args)
-
-
-def sample(spec, rng, count):
-    """Draw count i.i.d. values by inverse transform from rng.random()."""
-    count = int(count)
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    if count == 0:
-        return np.empty(0, dtype=float)
-    u = rng.random(count)
-    return np.asarray(spec.inverse_cdf(u), dtype=float)
 
 
 def _bisect_inverse(cdf, upper):

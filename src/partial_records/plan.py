@@ -318,10 +318,13 @@ def random_compatible_plan(rng, max_index=8, max_positions=None):
     previous index) plus a random selection of the remaining candidates.
     Fresh candidates join with probability 0.4 so small sets stay common.
     """
-    max_index = int(max_index)
+    max_index = _index(max_index, "max_index")
     if max_index < 1:
         raise IndexOutOfRange(f"need max_index >= 1, got {max_index}")
-    cap = max_index if max_positions is None else min(int(max_positions), max_index)
+    if max_positions is not None:
+        cap = min(_index(max_positions, "max_positions"), max_index)
+    else:
+        cap = max_index
     t_count = int(rng.integers(1, cap + 1))
     chosen = rng.choice(max_index, size=t_count, replace=False) + 1
     indices = tuple(int(n) for n in sorted(chosen))

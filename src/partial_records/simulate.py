@@ -428,7 +428,7 @@ def replay(config, replication):
     compares in the value domain, so it checks the batch pass independently.
     """
     vplan, horizon, n, _joint, _r_max, _checkpoints = config.resolved()
-    k = int(replication)
+    k = _index(replication, "replication")
     if not 0 <= k < n:
         raise IndexOutOfRange(f"replication {k} not in 0..{n - 1}")
     streams = _KeyedStreams(int(config.master_seed))

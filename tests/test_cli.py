@@ -80,6 +80,16 @@ def test_exact_json_output(capsys, total6_file):
     assert data["record_value"]["lower"] <= data["record_value"]["upper"]
 
 
+def test_exact_t_max_without_r_is_a_usage_error(capsys, total6_file):
+    argv = ["exact", "--plan", total6_file, "--positions", "2", "--t-max", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--t-max needs --r" in captured.err
+    assert main(argv + ["--r", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["record_time"]["t_max"] == 4
+
+
 def test_exact_invalid_plan_is_exit_2(capsys, bad_plan_file):
     assert main(["exact", "--plan", bad_plan_file, "--positions", "1"]) == 2
 
@@ -389,22 +399,17 @@ def _sweep_argv(plan_file, out_dir, density="smoothstep", m="8,16,64", r_values=
 
 
 def _counting_density(monkeypatch):
-    """smoothstep whose exact hooks count their calls, resolved for any name."""
+    """smoothstep whose pieces count their grid calls per (pdf or cdf, m),
+    resolved for any name."""
     calls = Counter()
     base = pr.smoothstep_density()
 
-    def counted(name, hook):
-        def wrapped(x):
-            calls[name] += 1
-            return hook(x)
+    class CountedPieces(type(base.pieces)):
+        def grid(self, polys, m, count):
+            calls["pdf" if polys is self.pdf else "cdf", m] += 1
+            return super().grid(polys, m, count)
 
-        return wrapped
-
-    density = dataclasses.replace(
-        base,
-        pdf_fraction=counted("pdf", base.pdf_fraction),
-        cdf_fraction=counted("cdf", base.cdf_fraction),
-    )
+    density = dataclasses.replace(base, pieces=CountedPieces(*base.pieces))
     monkeypatch.setattr(cli, "_resolve_density", lambda token: density)
     return calls
 
@@ -414,9 +419,7 @@ def test_discrete_sweep_evaluates_each_grid_once(tmp_path, monkeypatch, total6_f
     m_values = (8, 16, 64, 128)
     argv = _sweep_argv(total6_file, tmp_path / "sweep", m=",".join(map(str, m_values)))
     assert main(argv) == 0
-    # the support is [0, 1], so each grid has atoms l = 0..m
-    expected = sum(m + 1 for m in m_values)
-    assert calls == {"pdf": expected, "cdf": expected}
+    assert calls == {(polys, m): 1 for polys in ("pdf", "cdf") for m in m_values}
 
 
 @pytest.mark.parametrize("m, r_values", [("8,1024", "1,0"), ("8,0", "1,2,3")])

@@ -184,25 +184,49 @@ def test_bounded_profile_and_exponent_report(total5):
 # integer-numerator arithmetic of the library is checked against the plain
 # definitions of each lemma relation, theta and the forward recursion.
 
-EXACT_BUILTINS = ("uniform01", "power(2)", "smoothstep", "triangular", "truncated_ramp")
+
+def _ramp(cap):
+    """pdf and cdf of truncated_ramp(cap): f proportional to min(x, cap)."""
+    z = cap - cap * cap / 2
+
+    def cdf(x):
+        return (x * x / 2 if x <= cap else cap * cap / 2 + cap * (x - cap)) / z
+
+    return lambda x: min(x, cap) / z, cdf
+
+
+# hand-written closed forms (pdf, cdf) on [0, 1], independent of the pieces
+# the library integrates; truncated_ramp(1/3) has its kink off every dyadic grid
+CLOSED_FORMS = {
+    "uniform01": (lambda x: Fraction(1), lambda x: x),
+    "power(2)": (lambda x: 2 * x, lambda x: x * x),
+    "smoothstep": (lambda x: 6 * x * (1 - x), lambda x: x * x * (3 - 2 * x)),
+    "triangular": (
+        lambda x: 4 * x if x <= Fraction(1, 2) else 4 * (1 - x),
+        lambda x: 2 * x * x if x <= Fraction(1, 2) else 1 - 2 * (1 - x) ** 2,
+    ),
+    "truncated_ramp": _ramp(Fraction(1, 2)),
+    "truncated_ramp(1/3)": _ramp(Fraction(1, 3)),
+}
+EXACT_BUILTINS = tuple(CLOSED_FORMS)
 
 
 def _reference_prefix(values, zero=Fraction(0)):
     return list(accumulate(values, initial=zero))
 
 
-def _reference_grid(density, m):
-    xs = [Fraction(l, m) for l in range(round(density.support_upper * m) + 1)]
-    pdf = [Fraction(density.pdf_fraction(x)) for x in xs]
-    return pdf, [Fraction(density.cdf_fraction(x)) for x in xs] + [Fraction(1)]
+def _reference_grid(name, m):
+    pdf, cdf = CLOSED_FORMS[name]
+    xs = [Fraction(l, m) for l in range(m + 1)]
+    return [pdf(x) for x in xs], [cdf(x) for x in xs] + [Fraction(1)]
 
 
 def _reference_theta(pdf, cdf, m, r):
     return [s / m for s in _reference_prefix([c ** (r - 1) * f for f, c in zip(pdf, cdf)])]
 
 
-def _reference_lemma(density, m, r):
-    pdf, cdf = _reference_grid(density, m)
+def _reference_lemma(name, m, r):
+    pdf, cdf = _reference_grid(name, m)
     total = sum(pdf, Fraction(0))
     masses = [v / total for v in pdf]
     below = _reference_prefix(masses)
@@ -242,12 +266,17 @@ def test_lemma_and_theta_equal_fraction_reference():
     for name in EXACT_BUILTINS:
         density = pr.builtin(name)
         for m in (2, 3, 8, 64):
-            pdf, cdf = _reference_grid(density, m)
+            pdf, cdf = _reference_grid(name, m)
+            pieces = density.pieces
+            for polys, values in ((pieces.pdf, pdf), (pieces.cdf, cdf[:-1])):
+                # integer numerators over the least common denominator
+                den = math.lcm(*(v.denominator for v in values))
+                assert pieces.grid(polys, m, m + 1) == (tuple(v * den for v in values), den)
             model = pr.discretize(density, m)
             masses = [v / sum(pdf) for v in pdf]
             assert _masses(model) == (masses, _reference_prefix(masses))
             for r in (1, 2, 3):
-                expected = _reference_lemma(density, m, r)
+                expected = _reference_lemma(name, m, r)
                 got = pr.lemma_checks(density, m, r)
                 assert {k: (v.deviation, v.argmax_l) for k, v in got.items()} == expected, (
                     name, m, r)

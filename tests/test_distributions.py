@@ -1,4 +1,4 @@
-"""Built-in density families, the tabulated constructor, and sampling."""
+"""Built-in density families, rational pieces, the tabulated constructor, and inverse transforms."""
 
 import dataclasses
 import math
@@ -26,54 +26,92 @@ def test_verify_density_accepts_a_cusp_at_zero():
 def test_verify_density_rejects_a_pdf_integrating_to_two():
     u = pr.uniform01()
     doubled = dataclasses.replace(
-        u, name="doubled", pdf=lambda x: 2.0 * np.asarray(u.pdf(x)),
-        pdf_fraction=None, cdf_fraction=None,
+        u, name="doubled", pdf=lambda x: 2.0 * np.asarray(u.pdf(x)), pieces=None
     )
     with pytest.raises(ValueError, match="integrates to"):
         pr.verify_density(doubled)
 
 
-@pytest.mark.parametrize("hook", ["pdf_fraction", "cdf_fraction"])
-def test_fraction_hooks_come_in_pairs(hook):
-    with pytest.raises(pr.BadParams):
-        dataclasses.replace(pr.uniform01(), **{hook: None})
+def _exact(spec, which, x, m=8):
+    """The exact pdf or cdf at x = l/m, read from the density's pieces."""
+    l = x * m
+    assert l.denominator == 1
+    nums, den = spec.pieces.grid(getattr(spec.pieces, which), m, l.numerator + 1)
+    return Fraction(nums[-1], den)
+
+
+def _step(cuts=(0, Fraction(1, 2), 1), pdf=((Fraction(1, 2),), (Fraction(3, 2),))):
+    """f = 1/2 up to x = 1/2, then 3/2: F(x) = x/2, then (3x - 1)/2."""
+
+    def inverse(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u <= 0.25, 2.0 * u, (2.0 * u + 1.0) / 3.0)
+
+    return pr.rational_density("step", cuts, pdf, inverse, 1.5)
+
+
+def test_rational_density_rejects_a_mass_other_than_one():
+    with pytest.raises(pr.BadParams, match="mass 2, not 1"):
+        _step(pdf=((1,), (3,)))
+    with pytest.raises(pr.BadParams, match="mass 1/2, not 1"):
+        pr.rational_density("half", (0, 1), [(0, 1)], lambda u: u, 1.0)
+    for cuts in [(), (Fraction(1, 4), 1), (0, 1, Fraction(1, 2)), (0, 1)]:
+        with pytest.raises(pr.BadParams, match="cuts must rise from 0"):
+            _step(cuts=cuts)
+
+
+def test_a_point_on_a_cut_takes_the_left_piece():
+    step = _step()
+    pr.verify_density(step)
+    assert step.breakpoints == (0.5,)
+    assert step.pieces.cdf == ((0, Fraction(1, 2)), (Fraction(-1, 2), Fraction(3, 2)))
+    assert float(step.pdf(0.5)) == 0.5 and float(step.pdf(0.5 + 1e-12)) == 1.5
+    assert [float(v) for v in step.pdf(np.array([0.0, 0.5, 1.0]))] == [0.5, 0.5, 1.5]
+    assert step.pieces.grid(step.pieces.pdf, 4, 5) == ((1, 1, 1, 3, 3), 2)
+    assert step.pieces.grid(step.pieces.cdf, 4, 5) == ((0, 1, 2, 5, 8), 8)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
-def test_fraction_hooks_agree_with_float_path(name):
+def test_pieces_agree_with_float_path(name):
     spec = pr.builtin(name)
     for k in range(0, 9):
         x = Fraction(k, 8)
-        assert abs(float(spec.pdf_fraction(x)) - float(spec.pdf(float(x)))) < 1e-12
-        assert abs(float(spec.cdf_fraction(x)) - float(spec.cdf(float(x)))) < 1e-12
+        assert abs(float(_exact(spec, "pdf", x)) - float(spec.pdf(float(x)))) < 1e-12
+        assert abs(float(_exact(spec, "cdf", x)) - float(spec.cdf(float(x)))) < 1e-12
 
 
 def test_smoothstep_values():
     s = pr.smoothstep_density()
-    assert s.cdf_fraction(Fraction(1, 2)) == Fraction(1, 2)
-    assert s.pdf_fraction(Fraction(1, 2)) == Fraction(3, 2)
+    assert s.pieces.cdf == ((0, 0, 3, -2),)
+    assert _exact(s, "cdf", Fraction(1, 2)) == Fraction(1, 2)
+    assert _exact(s, "pdf", Fraction(1, 2)) == Fraction(3, 2)
     assert float(s.inverse_cdf(0.5)) == pytest.approx(0.5, abs=1e-14)
     assert s.smoothness_bound == 6.0
 
 
 def test_power_cdf_and_inverse():
     p2 = pr.power_density(2)
-    assert p2.cdf_fraction(Fraction(3, 4)) == Fraction(9, 16)
+    assert p2.pieces.cdf == ((0, 0, 1),)
+    assert _exact(p2, "cdf", Fraction(3, 4)) == Fraction(9, 16)
     assert float(p2.inverse_cdf(0.25)) == pytest.approx(0.5, abs=1e-14)
     with pytest.raises(pr.BadParams):
         pr.power_density(0.5)
-    # non-integer exponents have no rational hooks and unbounded f' near 0
+    # non-integer exponents have no polynomial pieces and unbounded f' near 0
     p15 = pr.power_density(1.5)
-    assert p15.pdf_fraction is None
+    assert p15.pieces is None
     assert p15.smoothness_bound is None
 
 
 def test_truncated_ramp_piecewise_forms():
     ramp = pr.truncated_ramp_density(Fraction(1, 2))
     # Z = 1/2 - 1/8 = 3/8
-    assert ramp.cdf_fraction(Fraction(1, 2)) == Fraction(1, 3)
-    assert ramp.cdf_fraction(Fraction(3, 4)) == Fraction(1, 3) + Fraction(1, 2) * Fraction(1, 4) / Fraction(3, 8)
-    assert ramp.pdf_fraction(Fraction(3, 4)) == Fraction(1, 2) / Fraction(3, 8)
+    assert ramp.pieces.cuts == (0, Fraction(1, 2), 1) and ramp.breakpoints == (0.5,)
+    assert _exact(ramp, "cdf", Fraction(1, 2)) == Fraction(1, 3)
+    assert _exact(ramp, "cdf", Fraction(3, 4)) == Fraction(1, 3) + Fraction(1, 2) * Fraction(1, 4) / Fraction(3, 8)
+    assert _exact(ramp, "pdf", Fraction(3, 4)) == Fraction(1, 2) / Fraction(3, 8)
+    # cap = 1 is the plain ramp 2x: one piece, no breakpoint
+    full = pr.truncated_ramp_density(1)
+    assert full.pieces.pdf == ((0, 2),) and full.breakpoints == ()
     with pytest.raises(pr.BadParams):
         pr.truncated_ramp_density(Fraction(3, 2))
 
@@ -100,21 +138,22 @@ def test_builtin_parser_errors():
 
 def test_builtin_parses_fraction_and_decimal_args():
     assert pr.builtin("truncated_ramp(0.5)").name == "truncated_ramp(1/2)"
-    assert pr.builtin("power(2)").cdf_fraction(Fraction(1, 2)) == Fraction(1, 4)
+    assert _exact(pr.builtin("power(2)"), "cdf", Fraction(1, 2)) == Fraction(1, 4)
 
 
 def test_sampling_is_inverse_transform(rng):
     spec = pr.smoothstep_density()
-    raw = np.random.default_rng(99).random(1000)
-    expected = np.asarray(spec.inverse_cdf(raw))
-    got = pr.sample(spec, np.random.default_rng(99), 1000)
-    assert np.array_equal(got, expected)
-    assert pr.sample(spec, rng, 0).shape == (0,)
+    u = rng.random(1000)
+    x = np.asarray(spec.inverse_cdf(u))
+    order = np.argsort(u)
+    assert np.all(np.diff(x[order]) >= 0)
+    assert float(np.max(np.abs(np.asarray(spec.cdf(x)) - u))) < 1e-12
+    assert np.asarray(spec.inverse_cdf(rng.random(0))).shape == (0,)
 
 
 def test_sample_moments_within_tolerance(rng):
     # smoothstep mean 1/2, var 1/20; n=200000 keeps 4 sigma tiny
-    x = pr.sample(pr.smoothstep_density(), rng, 200_000)
+    x = np.asarray(pr.smoothstep_density().inverse_cdf(rng.random(200_000)))
     se = math.sqrt(0.05 / 200_000)
     assert abs(x.mean() - 0.5) < 4 * se
     assert np.all((x >= 0) & (x <= 1))

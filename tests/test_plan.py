@@ -107,12 +107,19 @@ _TAB = pr.tabulated_density(_XS, 6 * _XS * (1 - _XS), name="tabulated smoothstep
         (lambda r: pr.lemma_checks(pr.uniform01(), 4, r=r)["cum_vs_cdf"].r, 1.5, np.int64(2), 2),
         # a float grid has no Fraction arithmetic to trip over a float power
         (lambda r: pr.lemma_checks(_TAB, 4, r=r)["cum_vs_cdf"].r, 1.5, np.int64(2), 2),
+        (lambda k: pr.replay(pr.SimConfig(_TEN, pr.uniform01(), 5, 1), k).replication,
+         2.7, np.int64(2), 2),
+        (lambda n: max(pr.random_compatible_plan(np.random.default_rng(3), n).indices) <= 6,
+         6.9, np.int64(6), True),
+        (lambda t: len(pr.random_compatible_plan(np.random.default_rng(3), 8, t).indices) <= 2,
+         2.5, np.int64(2), True),
     ],
     ids=[
         "record_prob", "joint_record_prob", "record_time_pmf-r", "record_time_pmf-t_max",
         "harmonic_number", "record_count_moments", "cumulative_intensity", "EventQuery.positive",
         "SimConfig-replications", "SimConfig-horizon", "SimConfig-r_max", "SimConfig-checkpoints",
         "discretize", "theta-l", "theta-r", "lemma_checks-r", "lemma_checks-r-float-grid",
+        "replay", "random_compatible_plan-max_index", "random_compatible_plan-max_positions",
     ],
 )
 def test_integer_inputs_reject_floats_and_keep_numpy_integers(call, bad, good, expected):

@@ -351,14 +351,7 @@ def test_strong_law_checkpoints(total5):
 
 def test_ties_counted_on_discrete_valued_streams(total5):
     # a two-point inverse forces exact float collisions
-    lumpy = pr.DensitySpec(
-        name="two-point",
-        support_upper=1.0,
-        pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        cdf=lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0),
-        inverse_cdf=lambda u: np.round(np.asarray(u, dtype=float)),
-    )
-    result = pr.run(_config(total5, lumpy, 2_000, 1))
+    result = pr.run(_config(total5, _two_point(), 2_000, 1))
     assert result.tie_count > 0
 
 
