@@ -109,6 +109,8 @@ def cmd_validate(args):
 def cmd_exact(args):
     if args.t_max is not None and args.r is None:
         raise ValueError("--t-max needs --r")
+    if args.x is not None and not math.isfinite(args.x):
+        raise ValueError(f"--x must be a finite number, got {args.x}")
     vplan = _plan.as_validated(_plan.load_plan_file(args.plan))
     positions = _parse_list(args.positions, "--positions")
     out = {
@@ -184,6 +186,8 @@ def cmd_simulate(args):
     grid = _parse_list(args.grid, "--grid", float) if args.grid else ()
     if grid and (args.r is None or args.r < 1):
         raise ValueError("--grid needs --r >= 1")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"--grid must hold finite numbers, got {args.grid!r}")
     if not (math.isfinite(args.z) and args.z > 0):
         raise ValueError(f"--z must be a positive finite number, got {args.z}")
     if args.checkpoints is None:

@@ -25,24 +25,39 @@ from .errors import IndexOutOfRange, RankTooLarge
 from .plan import _index, as_validated, check_positions
 
 
-def _reciprocal_sum(cardinalities, power=1):
-    """Sum of 1/c**power over the cardinalities, as an exact Fraction.
+def _split(terms, merge):
+    """Merge neighbouring terms pairwise until one is left.
 
-    Binary splitting, quasi-linear where adding term by term is quadratic: a
-    term (a, b) stands for a / b**power with b the lcm of its cardinalities,
-    and neighbours merge pairwise over b // gcd(b, d) * d.
+    Binary splitting: quasi-linear for exact sums where adding term by term
+    is quadratic, because the big numbers meet only near the top.
     """
-    terms = [(1, c) for c in cardinalities] or [(0, 1)]
     while len(terms) > 1:
-        merged = []
-        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
-            g = math.gcd(b, d)
-            b_g, d_g = b // g, d // g
-            merged.append((a * d_g**power + c * b_g**power, b_g * d))
+        merged = list(map(merge, terms[::2], terms[1::2]))
         merged.extend(terms[2 * len(merged):])
         terms = merged
-    numerator, denominator = terms[0]
-    return Fraction(numerator, denominator**power)
+    return terms[0]
+
+
+def _merge_sum(x, y):
+    # (a, b) stands for a / b, with b the lcm of the term's cardinalities
+    (a, b), (c, d) = x, y
+    g = math.gcd(b, d)
+    return a * (d // g) + c * (b // g), b // g * d
+
+
+def _reciprocal_sum(cardinalities):
+    """Sum of 1/c over the cardinalities, as an exact Fraction."""
+    numerator, denominator = _split([(1, c) for c in cardinalities] or [(0, 1)], _merge_sum)
+    return Fraction(numerator, denominator)
+
+
+def _merge_sum_and_squares(x, y):
+    # (a, b, l) stands for a / l and b / l**2, with l the lcm of the term's
+    # cardinalities
+    (a, b, l), (c, d, m) = x, y
+    g = math.gcd(l, m)
+    f, h = m // g, l // g
+    return a * f + c * h, b * f * f + d * h * h, l * f
 
 
 def harmonic_number(j):
@@ -122,9 +137,10 @@ def record_count_moments(plan, j):
     if j < 1:
         raise IndexOutOfRange(f"need j >= 1, got {j}")
     used = bisect_right(vplan.indices, j)
-    cardinalities = vplan.cardinalities[:used]
-    mean = _reciprocal_sum(cardinalities)
-    variance = mean - _reciprocal_sum(cardinalities, 2)
+    # sum 1/c = a / l and sum 1/c**2 = b / l**2 over one lcm l of the cardinalities
+    terms = [(1, 1, c) for c in vplan.cardinalities[:used]] or [(0, 0, 1)]
+    a, b, l = _split(terms, _merge_sum_and_squares)
+    mean, variance = Fraction(a, l), Fraction(a * l - b, l * l)
     return RecordCountStats(j=j, positions_used=used, mean=mean, variance=variance)
 
 

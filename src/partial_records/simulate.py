@@ -3,10 +3,19 @@
 Determinism policy: the value at sequence index i in replication k is
 inverse_cdf(u), where u is element k of the Philox stream keyed by
 (master_seed, i), counter 0.  A run streams the plan positions in order with
-one Philox generator, re-keyed for each column; nested comparison sets mean a
-single running maximum per replication suffices, and the previous candidate
-column is reused as the predecessor comparison.  Any single draw can be
+one Philox generator, re-keyed for each column.  Any single draw can be
 regenerated after the fact for auditing.
+
+Chunks: nested comparison sets mean one running maximum per replication
+suffices.  A block draws its columns in plan order into chunks of
+max(1, CHUNK // width) rows, one candidate column per row, and tallies each
+chunk at once; a chunk ends after position 1, at each joint or checkpoint
+position, at the horizon, when its rows are full, and before a position with
+fresh comparison indices, whose draws go straight into the running maximum
+ahead of the chunk.  The maximum only grows along a chunk, so only
+replications with a row at or above their chunk-start maximum can hit or tie
+there, and late in a long plan most chunks have none.  No output byte depends
+on CHUNK.
 
 Blocks: replications are independent, so `run` splits 0..n-1 into contiguous
 blocks, one per usable CPU once each block holds at least MIN_BLOCK
@@ -23,7 +32,7 @@ Rank domain: inverse_cdf must be non-decreasing, so the maximum of the values
 is the transform of the maximum uniform, and a value can exceed it only if its
 uniform does.  The running maximum and the candidates therefore stay uniforms,
 and inverse_cdf is applied only to the hits (candidates whose uniform exceeds
-the running maximum) and to the running maximum at those hits.  A hit is a
+the running maximum before them) and to that maximum at those hits.  A hit is a
 record when its value exceeds the maximum's value.  tie_count counts the
 candidates whose uniform equals the running maximum plus the hits whose value
 equals it (a non-injective inverse); equal values at a smaller uniform never
@@ -49,6 +58,9 @@ from .plan import _index, as_validated, check_positions
 
 # Fewest replications per block: below it a thread costs more than it saves.
 MIN_BLOCK = 2**14
+# Most draws a block holds before it tallies them: max(1, CHUNK // width)
+# rows of its `width` replications.
+CHUNK = 2**16
 
 
 class _KeyedStreams:
@@ -223,34 +235,86 @@ class _Tally:
         self.joint_count = None
         self.ties = self.count_sum = self.count_sq_sum = 0
 
-    def position(self, t, candidate, running_max, compared):
-        """Tally position t and return its record replications.
+    def chunk(self, t, rows, running_max, compared):
+        """Tally the positions of one chunk, the last at t, and return the
+        record replications of position t.
 
-        `candidate` and `running_max` are uniforms; `compared` says whether
-        the comparison set is non-empty.  Only the hits are transformed.
+        `rows` are the chunk's candidate draws in plan order, one row per
+        position: uniforms, like `running_max`, which holds the maximum
+        before the first row and is raised past the last row here.
+        `compared` applies to one-row chunks only and says whether the
+        position's comparison set is non-empty; only position 1 may have an
+        empty one, and it is always alone in its chunk.  Only the hits are
+        transformed.
         """
-        hits = np.flatnonzero(candidate > running_max)
-        self.ties += int(np.count_nonzero(candidate == running_max))
-        if hits.size:
-            hit_values = np.asarray(self.inverse(candidate[hits]), dtype=float)
-            if compared:
-                max_values = np.asarray(self.inverse(running_max[hits]), dtype=float)
-                self.ties += int(np.count_nonzero(hit_values == max_values))
-                record = hit_values > max_values
-                hits, hit_values = hits[record], hit_values[record]
-            rank = self.counts[hits] + 1
-            self.counts[hits] = rank
-            self.count_sum += hits.size
-            self.count_sq_sum += 2 * int(rank.sum(dtype=np.int64)) - hits.size
-            tracked = rank <= len(self.times)
-            if tracked.all():  # early positions, where hits are many: no copies
-                rows, cols, vals = rank - 1, hits, hit_values
-            else:
-                rows, cols, vals = rank[tracked] - 1, hits[tracked], hit_values[tracked]
-            self.times[rows, cols] = t
-            self.values[rows, cols] = vals
-        self.event_counts.append(hits.size)
-        return hits
+        if len(rows) == 1:  # one candidate: its hits come straight from its row
+            row = rows[0]
+            cols = np.flatnonzero(row > running_max)
+            self.ties += int(np.count_nonzero(row == running_max))
+            if cols.size:
+                max_u = running_max[cols] if compared else None
+                hit_values, record = self._values(row[cols], max_u)
+                running_max[cols] = row[cols]
+                if record is not None:
+                    cols = cols[record]
+                rank = self.counts[cols] + 1
+                self.counts[cols] = rank
+                self._record(rank, cols, t, hit_values)
+            self.event_counts.append(cols.size)
+            return cols
+
+        # The maximum only grows along the chunk, so a column none of whose
+        # rows reaches its chunk-start maximum has no hit and no tie.
+        active = np.flatnonzero(rows.max(axis=0) >= running_max)
+        if not active.size:
+            self.event_counts.extend([0] * len(rows))
+            return active
+        drawn = rows[:, active] if active.size < rows.shape[1] else rows
+        prefix = np.empty_like(drawn)  # prefix[i]: the maximum before row i
+        prefix[0] = running_max[active]
+        prefix[1:] = drawn[:-1]
+        np.maximum.accumulate(prefix, axis=0, out=prefix)
+        running_max[active] = np.maximum(prefix[-1], drawn[-1])
+        self.ties += int(np.count_nonzero(drawn == prefix))
+        which, at = np.nonzero(drawn > prefix)  # row-major, so `which` ascends
+        if which.size:
+            hit_u, max_u = drawn[which, at], prefix[which, at]
+            del drawn, prefix  # early chunks hold many hits: free these first
+            hit_values, record = self._values(hit_u, max_u)
+            which, at = which[record], at[record]
+            # a record's rank: its column's count before the chunk plus the
+            # column's records up to its row
+            seen = np.zeros((len(rows), active.size), dtype=np.int32)
+            seen[which, at] = 1
+            np.cumsum(seen, axis=0, out=seen)
+            cols = active[at]
+            rank = self.counts[cols] + seen[which, at]
+            self.counts[active] += seen[-1]
+            self._record(rank, cols, which + (t + 1 - len(rows)), hit_values)
+        self.event_counts.extend(np.bincount(which, minlength=len(rows)).tolist())
+        return active[at[np.searchsorted(which, len(rows) - 1):]]
+
+    def _values(self, hit_u, max_u):
+        """The hits' values, and which of them exceed their maximum's value
+        (None when there is no maximum)."""
+        hit_values = np.asarray(self.inverse(hit_u), dtype=float)
+        if max_u is None:
+            return hit_values, None
+        max_values = np.asarray(self.inverse(max_u), dtype=float)
+        self.ties += int(np.count_nonzero(hit_values == max_values))
+        record = hit_values > max_values
+        return hit_values[record], record
+
+    def _record(self, rank, cols, when, values):
+        """Count records of the given ranks; keep times and values up to r_max."""
+        self.count_sum += rank.size
+        self.count_sq_sum += 2 * int(rank.sum(dtype=np.int64)) - rank.size
+        tracked = rank <= len(self.times)
+        if not tracked.all():  # never early on, where hits are many
+            rank, cols, values = rank[tracked], cols[tracked], values[tracked]
+            when = when[tracked] if np.ndim(when) else when
+        self.times[rank - 1, cols] = when
+        self.values[rank - 1, cols] = values
 
 
 def _usable_cpus():
@@ -279,22 +343,26 @@ def _run_block(config, vplan, horizon, joint, checkpoints, times, values, bounds
     streams = _KeyedStreams(int(config.master_seed), lo)
     tally = _Tally(config.density.inverse_cdf, times[:, lo:hi], values[:, lo:hi])
     running_max = np.full(hi - lo, -np.inf)  # uniforms, like the candidates
-    candidate, previous = np.empty(hi - lo), np.empty(hi - lo)
+    rows = np.empty((max(1, CHUNK // (hi - lo)), hi - lo))
+    used = 0  # rows filled in the open chunk
+    stops = {1, horizon} | joint | checkpoints
     joint_hits = None
 
-    positions = zip(vplan.indices[:horizon], vplan.cardinalities, vplan.fresh_sets)
+    fresh_sets = vplan.fresh_sets
+    positions = zip(vplan.indices[:horizon], vplan.cardinalities, fresh_sets)
     for t, (time_index, cardinality, fresh_set) in enumerate(positions, start=1):
-        for idx in fresh_set:  # candidate is free until its own draw below
-            np.maximum(running_max, streams.uniforms(idx, out=candidate), out=running_max)
-        if t > 1:
-            np.maximum(running_max, previous, out=running_max)
-        streams.uniforms(time_index, out=candidate)
-        hits = tally.position(t, candidate, running_max, cardinality > 1)
-        if t in joint:
-            joint_hits = hits if joint_hits is None else np.intersect1d(joint_hits, hits)
-        if t in checkpoints:
-            tally.checkpoint_sums.append((tally.count_sum, tally.count_sq_sum))
-        candidate, previous = previous, candidate
+        for idx in fresh_set:  # only a chunk's first position has fresh draws
+            np.maximum(running_max, streams.uniforms(idx, out=rows[0]), out=running_max)
+        streams.uniforms(time_index, out=rows[used])
+        used += 1
+        if t in stops or used == len(rows) or fresh_sets[t]:
+            hits = tally.chunk(t, rows[:used], running_max, cardinality > 1)
+            used = 0
+            if t in joint:
+                joint_hits = (hits if joint_hits is None
+                              else np.intersect1d(joint_hits, hits, assume_unique=True))
+            if t in checkpoints:
+                tally.checkpoint_sums.append((tally.count_sum, tally.count_sq_sum))
     tally.joint_count = None if joint_hits is None else joint_hits.size
     return tally
 

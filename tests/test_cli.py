@@ -90,6 +90,16 @@ def test_exact_t_max_without_r_is_a_usage_error(capsys, total6_file):
     assert json.loads(capsys.readouterr().out)["record_time"]["t_max"] == 4
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_exact_rejects_a_non_finite_cutoff(capsys, total6_file, x):
+    argv = ["exact", "--plan", total6_file, "--positions", "2", "--density", "smoothstep",
+            "--r", "1", f"--x={x}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--x must be a finite number" in captured.err
+
+
 def test_exact_invalid_plan_is_exit_2(capsys, bad_plan_file):
     assert main(["exact", "--plan", bad_plan_file, "--positions", "1"]) == 2
 
@@ -206,7 +216,9 @@ def test_simulate_outputs_and_gates(tmp_path, capsys, total6_file):
 
 @pytest.mark.parametrize(
     "options",
-    [["--r", "0", "--grid", "0.5"], ["--z", "-4"], ["--z", "0"], ["--z", "nan"], ["--z", "inf"]],
+    [["--r", "0", "--grid", "0.5"], ["--z", "-4"], ["--z", "0"], ["--z", "nan"], ["--z", "inf"],
+     ["--r", "2", "--grid", "nan,0.5"], ["--r", "2", "--grid", "0.5,inf"],
+     ["--r", "2", "--grid=-inf"]],
 )
 def test_simulate_rejects_bad_options_before_the_run(tmp_path, capsys, total6_file, options):
     out_dir = tmp_path / "run"

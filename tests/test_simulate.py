@@ -87,6 +87,16 @@ def _force_blocks(monkeypatch, count):
     monkeypatch.setattr(simulate, "_block_count", lambda n: count)
 
 
+# CHUNK for n replications: a block of width w <= n tallies max(1, CHUNK // w)
+# rows at a time, so "few-rows" gives three or more and "one-row" gives one
+_CHUNKS = {"one-row": lambda n: 1, "few-rows": lambda n: 3 * n, "default": lambda n: simulate.CHUNK}
+
+
+def _force_chunk(monkeypatch, name, n):
+    monkeypatch.setattr(simulate, "CHUNK", _CHUNKS[name](n))
+
+
+@pytest.mark.parametrize("chunk", list(_CHUNKS))
 @pytest.mark.parametrize("n", [5, 10_001])  # n < 4 * blocks; n not a multiple of 4
 @pytest.mark.parametrize("blocks", [1, 2, 3, 7])
 @pytest.mark.parametrize("plan_name", ["total5", "partial_plan", "chained"])
@@ -96,12 +106,62 @@ def _force_blocks(monkeypatch, count):
     ids=lambda d: d.name,
 )
 def test_block_split_equals_value_domain_reference(
-    request, monkeypatch, plan_name, density, blocks, n
+    request, monkeypatch, plan_name, density, blocks, n, chunk
 ):
     plan = pr.chained_plan([1, 3, 5, 9]) if plan_name == "chained" else request.getfixturevalue(plan_name)
     cfg = _config(plan, density, n, 41, joint_positions=(1, 2, 3), r_max=2, checkpoints=(1, 3))
     _force_blocks(monkeypatch, blocks)
+    _force_chunk(monkeypatch, chunk, n)
     _assert_equals_reference(pr.run(cfg), _value_domain_run(cfg))
+
+
+@pytest.mark.parametrize("chunk", list(_CHUNKS))
+def test_long_plan_with_few_replications_equals_value_domain_reference(monkeypatch, chunk):
+    # with a few rows per chunk, most chunks past the first few hundred
+    # positions have no active column
+    cfg = _config(pr.total_comparison_plan(3000), pr.smoothstep_density(), 64, 17,
+                  joint_positions=(1, 2, 3), r_max=2, checkpoints=(1, 3, 2999))
+    _force_chunk(monkeypatch, chunk, 64)
+    _assert_equals_reference(pr.run(cfg), _value_domain_run(cfg))
+
+
+@pytest.mark.parametrize("chunk", list(_CHUNKS))
+def test_fresh_draws_end_the_chunk_before_them(monkeypatch, rng, chunk):
+    # fresh sets between multi-row chunks, and one of six indices (5..10, at
+    # position 4) that is larger than a few-row buffer
+    indices = (2, 3, 4, 11, 12, 13)
+    wide = pr.ComparisonPlan(indices, tuple(frozenset(range(1, n)) for n in indices))
+    plans = [wide] + [pr.random_compatible_plan(rng, max_index=40) for _ in range(6)]
+    for case, plan in enumerate(plans):
+        vplan = pr.as_validated(plan)
+        last = vplan.length
+        cfg = _config(vplan, pr.smoothstep_density(), 4001, case,
+                      joint_positions=tuple(sorted({1, last})), r_max=min(2, last),
+                      checkpoints=(last,))
+        _force_chunk(monkeypatch, chunk, cfg.replications)
+        _assert_equals_reference(pr.run(cfg), _value_domain_run(cfg))
+
+
+@pytest.mark.parametrize("chunk", list(_CHUNKS))
+def test_equal_uniforms_count_every_tie(monkeypatch, chunk):
+    # uniforms rounded down to eighths tie often; with the identity inverse
+    # the value-domain reference counts exactly the same ties
+    draw = simulate._KeyedStreams.uniforms
+
+    def coarse(self, time_index, count=None, out=None):
+        u = draw(self, time_index, count, out)
+        np.floor(u * 8, out=u)
+        u /= 8
+        return u
+
+    monkeypatch.setattr(simulate._KeyedStreams, "uniforms", coarse)
+    _force_chunk(monkeypatch, chunk, 2001)
+    for plan in (pr.total_comparison_plan(40), pr.chained_plan([1, 3, 5, 9])):
+        cfg = _config(plan, pr.uniform01(), 2001, 3, joint_positions=(1, 2, 3), r_max=2,
+                      checkpoints=(1, 3))
+        result, ref = pr.run(cfg), _value_domain_run(cfg)
+        _assert_equals_reference(result, ref)
+        assert result.tie_count == ref["ties"] > 0
 
 
 def _fields(result):
