@@ -97,6 +97,7 @@ from .discrete import (
     SweepRow,
     bounded_profile,
     discretize,
+    error_bound,
     error_sweep,
     joint_record_prob_discrete,
     lemma_checks,

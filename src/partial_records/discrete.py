@@ -8,22 +8,20 @@ quantities:
 * G_m(l) = sum of g_m(l1) over l1 < l, the strictly-below prefix mass;
 * theta(l) = (1/m) * sum over l1 < l of F^{r-1}(l1/m) f(l1/m), the left
   Riemann sum of the integral F^r(l/m)/r that drives the continuous laws;
-* an exact forward recursion for joint record probabilities, whose value
-  converges to the continuous product formula at rate O(1/m) with constant
-  controlled by the density's smoothness bound.
+* an exact forward recursion for joint record probabilities, below the
+  continuous product formula by at most error_bound, an explicit O(1/m)
+  bound that reads the model only through its largest atom.
 
 One rule picks the arithmetic: a density with polynomial pieces (built by
 distributions.rational_density) is evaluated in exact integers, any other
-density in floats.  _grid applies the rule, once per (density, m), and the
-DiscreteModel built from the grid carries it: atom l has mass
-weights[l] / scale, with an exact model's integer pdf numerators over their
-sum, a float model's normalized masses over 1.0.  The recursion, the lemma
-checks and the exhaustive oracle read those numbers with no branch of their
-own.  _zero and _ratio give a value its type, and _deviations
-cross-multiplies exact lemma sides where float ones divide.  So exact grid
-identities (and the deviations themselves) are free of rounding noise,
-without a gcd per operation, and a Fraction is built only for each returned
-value.
+density in floats.  _grid applies it once per (density, m), and the
+DiscreteModel gives atom l the mass weights[l] / scale: an exact model's
+integer pdf numerators over their sum, a float model's normalized masses
+over 1.0.  The recursion, the lemma checks and the exhaustive oracle read
+those numbers with no branch of their own.  _zero and _ratio give a value
+its type, and _deviations cross-multiplies exact lemma sides where float
+ones divide, so exact identities are free of rounding noise without a gcd
+per operation, and a Fraction is built only for each returned value.
 """
 
 from __future__ import annotations
@@ -48,10 +46,10 @@ from . import exact as _exact
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """Atoms of a density sampled on {l/m : l = 0..top_index}.
+    """Atoms of a density sampled on {l/m : l = 0..atom_count-1}.
 
     Atom l has mass weights[l] / scale, and below[l] / scale is the mass
-    strictly below atom l (length top_index + 2).  An exact model holds
+    strictly below atom l (length atom_count + 1).  An exact model holds
     integer weights over their sum, a float model normalized masses over 1.0.
     """
 
@@ -65,10 +63,6 @@ class DiscreteModel:
     @property
     def atom_count(self):
         return len(self.weights)
-
-    @property
-    def top_index(self):
-        return len(self.weights) - 1
 
 
 def _zero(exact):
@@ -180,7 +174,7 @@ def theta(density, m, l, r=1):
     """Left Riemann sum (1/m) * sum_{l1 < l} F^(r-1)(l1/m) f(l1/m).
 
     Approximates F^r(l/m)/r, the limit object behind the discrete record
-    laws.  l may run to top_index+1 (the full-grid sum).
+    laws.  l may run to atom_count (the full-grid sum).
     """
     grid = _grid(density, m)
     l = _index(l, "grid index l")
@@ -215,8 +209,8 @@ def lemma_checks(density, m, r=1):
     weighted_power_sum:  sum_{l1<l} G^(r-1)(l1)g(l1) vs  F^r(l/m)/r
     cum_vs_cdf:          G_m(l)                      vs  F(l/m)
 
-    Maxima are over the atom grid l = 0..top_index (normalization is a
-    single full-grid deviation, reported with argmax_l = top_index + 1), and
+    Maxima are over the atom grid l = 0..atom_count-1 (normalization is a
+    single full-grid deviation, reported with argmax_l = atom_count), and
     argmax_l is the first maximal l.  Exact rational when the density has
     polynomial pieces.  Returns {relation: LemmaDeviation}.
     """
@@ -283,8 +277,8 @@ def record_point_masses(plan, positions, model):
 def joint_record_prob_discrete(plan, positions, model):
     """P(records at all selected positions) under the discrete model.
 
-    Exact rational when the model is exact; converges to the continuous
-    product of 1/c(n_t) as m grows, with error O(1/m).
+    Exact rational when the model is exact; below the continuous product of
+    1/c(n_t) by at most error_bound.
     """
     point, den = _point_numerators(plan, positions, model)
     return Fraction(sum(point), den) if model.exact else math.fsum(point)
@@ -293,7 +287,7 @@ def joint_record_prob_discrete(plan, positions, model):
 def bounded_profile(plan, positions, model):
     """B(l) = P(all selected events hold, last value strictly below atom l).
 
-    Length top_index + 2; B(top+1) is the unconditional joint probability.
+    Length atom_count + 1; the last entry is the unconditional joint probability.
     """
     point, den = _point_numerators(plan, positions, model)
     below = accumulate(point, initial=_zero(model.exact))
@@ -315,6 +309,35 @@ def profile_vs_continuous(plan, positions, model, density):
     return max(abs(float(b) - base * (c / grid.cdf_den) ** e) for b, c in zip(profile, grid.cdf))
 
 
+def error_bound(plan, positions, model):
+    """Bound on P - P_m, P = prod 1/c_t over the selected cardinalities and
+    P_m = joint_record_prob_discrete: with g = max(weights)/scale,
+
+        0 <= P - P_m <= P (g/2) sum_{t: c_t >= 2} c_t prod_{s>t} c_s/(c_s - 1).
+
+    Proof sketch.  The model is a uniform U under a non-decreasing step map,
+    so a strict record of the atoms is one of the U's: P_m <= P.  Level t of
+    the recursion takes K u^(c_t - 1), K = prod_{s<t} 1/c_s, at each atom's
+    left end G(l); a trapezoid step on that convex integrand bounds the new
+    defect below G(l) by K (g/2) G(l)^(c_t - 1), 0 if c_t = 1.  A defect
+    d G(l)^(c_{t-1} - 1) carried from level t-1 enters as a left Riemann sum
+    of d u^(c_t - 2), at most d G(l)^(c_t - 1)/(c_t - 1).  The recurrence
+    d_t = K g/2 + d_{t-1}/(c_t - 1) unrolls to the bound at G = 1, which
+    uniform01 attains at one c = 2.  Exact models get a Fraction, float
+    models a float plus (atom_count + len(positions)) * 2^-52 for rounding.
+    """
+    vplan = as_validated(plan)
+    positions = check_positions(vplan, positions)
+    cards = [vplan.cardinality(t) for t in positions]
+    relative = Fraction(0)  # the sum over t; each later s scales it by c_s/(c_s - 1)
+    for c in (c for c in cards if c > 1):
+        relative = relative * Fraction(c, c - 1) + c
+    bound = relative / (2 * math.prod(cards))
+    if model.exact:
+        return bound * Fraction(max(model.weights), model.scale)
+    return float(bound) * max(model.weights) + (model.atom_count + len(positions)) * 2.0**-52
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One resolution step of the discrete-vs-continuous error sweep."""
@@ -323,6 +346,7 @@ class SweepRow:
     discrete: object
     continuous: object
     abs_error: object
+    bound: object  # error_bound: the row passes when abs_error <= bound
 
     @property
     def scaled(self):
@@ -332,8 +356,8 @@ class SweepRow:
 def error_sweep(plan, positions, density, m_values):
     """Discrete joint probability against the continuous product over m.
 
-    The scaled column m * |error| staying bounded is the O(1/m) guarantee
-    in action; rows are exact rationals when the density has polynomial pieces.
+    Each row carries its error_bound; rows are exact rationals when the
+    density has polynomial pieces.
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
@@ -342,7 +366,7 @@ def error_sweep(plan, positions, density, m_values):
     for m in m_values:
         model = discretize(density, m)
         value = joint_record_prob_discrete(vplan, positions, model)
+        bound = error_bound(vplan, positions, model)
         # float - Fraction converts the Fraction, so a float model gets float errors
-        err = abs(value - target)
-        rows.append(SweepRow(m=model.m, discrete=value, continuous=target, abs_error=err))
+        rows.append(SweepRow(model.m, value, target, abs(value - target), bound))
     return tuple(rows)

@@ -4,9 +4,8 @@ Every density carries vectorized pdf/cdf/inverse_cdf callables.  A rational
 family is defined once, as polynomial pieces with Fraction coefficients
 between Fraction cuts (rational_density); its cdf pieces, float pdf/cdf and
 breakpoints all derive from them, and the discrete approximation layer reads
-the pieces to evaluate its grids in exact integers.  The smoothness bound
-C >= max(sup|f|, sup|f'|) drives the O(1/m) discretization error guarantee;
-estimated bounds (tabulated input, finite differences) are flagged as such.
+the pieces to evaluate its grids in exact integers.  rational_density also
+checks the pdf's sign exactly, as the discrete layer's error bound needs.
 
 Support always starts at 0.  pdf evaluates to 0 outside [0, M] and cdf clips
 to [0, 1], so grid scans may safely step slightly past the support.
@@ -96,8 +95,6 @@ class DensitySpec:
     pdf: Callable
     cdf: Callable
     inverse_cdf: Callable
-    smoothness_bound: float | None = None
-    smoothness_is_estimate: bool = False
     pieces: Pieces | None = None
     # interior points where the pdf loses smoothness; quadrature splits here
     breakpoints: tuple = ()
@@ -144,14 +141,25 @@ def _piecewise(cuts, polys):
     return lambda x: _horner(table[np.searchsorted(inner, x)].T, x)
 
 
-def rational_density(name, cuts, pdf, inverse_cdf, smoothness_bound):
+def _bernstein(poly, lo, hi):
+    """Bernstein coefficients of poly on [lo, hi], between whose least and greatest
+    it lies there; b holds the power coefficients of poly(lo + (hi - lo) u)."""
+    n = len(poly) - 1
+    b = [(hi - lo) ** j * _horner([math.comb(k, j) * a for k, a in enumerate(poly)][j:], lo)
+         for j in range(n + 1)]
+    return [sum(b[j] * math.comb(i, j) / math.comb(n, j) for j in range(i + 1))
+            for i in range(n + 1)]
+
+
+def rational_density(name, cuts, pdf, inverse_cdf):
     """A density whose pdf is a polynomial between consecutive cuts.
 
     cuts rise from 0 to the support bound M; pdf[j] lists the coefficients
     (constant term first, each a Fraction or int) on the piece from cuts[j]
     to cuts[j+1].  The cdf pieces come by exact integration, the float
     pdf/cdf by Horner evaluation, the breakpoints from the interior cuts.
-    Raises BadParams unless the pieces fit the cuts and the exact mass is 1.
+    Raises BadParams unless the pieces fit the cuts, the exact mass is 1 and
+    no piece has a negative Bernstein coefficient (then f >= 0).
     """
     cuts = tuple(map(Fraction, cuts))
     pdf = tuple(tuple(map(Fraction, poly)) for poly in pdf)
@@ -159,6 +167,8 @@ def rational_density(name, cuts, pdf, inverse_cdf, smoothness_bound):
         raise BadParams(f"{name}: cuts must rise from 0, one pdf piece between each pair")
     cdf, mass = [], Fraction(0)  # mass: the cdf at the piece's left cut
     for lo, hi, poly in zip(cuts, cuts[1:], pdf):
+        if min(_bernstein(poly, lo, hi), default=0) < 0:
+            raise BadParams(f"{name}: a negative Bernstein coefficient on [{lo}, {hi}]")
         anti = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(poly)]
         anti[0] = mass - _horner(anti, lo)
         cdf.append(tuple(anti))
@@ -172,7 +182,6 @@ def rational_density(name, cuts, pdf, inverse_cdf, smoothness_bound):
         pdf=_masked(upper, _piecewise(cuts, pdf)),
         cdf=_clipped_cdf(upper, _piecewise(cuts, cdf)),
         inverse_cdf=inverse_cdf,
-        smoothness_bound=smoothness_bound,
         pieces=Pieces(cuts, pdf, tuple(cdf)),
         breakpoints=tuple(float(c) for c in cuts[1:-1]),
     )
@@ -183,7 +192,7 @@ def _clip01(u):
 
 
 def uniform01():
-    return rational_density("uniform01", (0, 1), [(1,)], _clip01, 1.0)
+    return rational_density("uniform01", (0, 1), [(1,)], _clip01)
 
 
 def power_density(k):
@@ -194,20 +203,16 @@ def power_density(k):
     kf = float(k_frac)
     if k_frac == 1:
         return uniform01()
-
-    # sup|f| = k at x=1; f' = k(k-1)x^(k-2) is bounded only for k >= 2
-    bound = max(kf, kf * (kf - 1.0)) if k_frac >= 2 else None
     inverse = lambda u: np.power(_clip01(u), 1.0 / kf)
     if k_frac.denominator == 1:
         ki = k_frac.numerator
-        return rational_density(f"power({ki})", (0, 1), [(0,) * (ki - 1) + (ki,)], inverse, bound)
+        return rational_density(f"power({ki})", (0, 1), [(0,) * (ki - 1) + (ki,)], inverse)
     return DensitySpec(
         name=f"power({kf})",
         support_upper=1.0,
         pdf=_masked(1.0, lambda x: kf * np.power(x, kf - 1.0)),
         cdf=_clipped_cdf(1.0, lambda x: np.power(x, kf)),
         inverse_cdf=inverse,
-        smoothness_bound=bound,
     )
 
 
@@ -218,7 +223,7 @@ def smoothstep_density():
         # F(x) = u  <=>  x = 1/2 - sin(arcsin(1 - 2u)/3)
         return 0.5 - np.sin(np.arcsin(1.0 - 2.0 * _clip01(u)) / 3.0)
 
-    return rational_density("smoothstep", (0, 1), [(0, 6, -6)], inverse, 6.0)
+    return rational_density("smoothstep", (0, 1), [(0, 6, -6)], inverse)
 
 
 def triangular_density():
@@ -230,14 +235,13 @@ def triangular_density():
         hi = 1.0 - np.sqrt(np.maximum(1.0 - u, 0.0) / 2.0)
         return np.where(u <= 0.5, lo, hi)
 
-    return rational_density("triangular", (0, Fraction(1, 2), 1), [(0, 4), (4, -4)], inverse, 4.0)
+    return rational_density("triangular", (0, Fraction(1, 2), 1), [(0, 4), (4, -4)], inverse)
 
 
 def truncated_ramp_density(cap=Fraction(1, 2)):
     """f(x) proportional to min(x, cap) on [0, 1].  Needs 0 < cap <= 1.
 
-    Normalizer Z = cap - cap^2/2.  Continuous but with a kink at x = cap, so
-    the derivative bound uses the one-sided slopes.
+    Normalizer Z = cap - cap^2/2.  Continuous but with a kink at x = cap.
     """
     cap_frac = Fraction(cap)
     if not 0 < cap_frac <= 1:
@@ -254,8 +258,7 @@ def truncated_ramp_density(cap=Fraction(1, 2)):
 
     ramp, flat = (0, 1 / z_frac), (cap_frac / z_frac,)
     cuts, pdf = ((0, cap_frac, 1), [ramp, flat]) if cap_frac < 1 else ((0, 1), [ramp])
-    bound = max(1.0 / zf, capf / zf)
-    return rational_density(f"truncated_ramp({cap_frac})", cuts, pdf, inverse, bound)
+    return rational_density(f"truncated_ramp({cap_frac})", cuts, pdf, inverse)
 
 
 _NAME_RE = re.compile(r"^([a-z][a-z0-9_]*)(?:\((.*)\))?$")
@@ -319,10 +322,8 @@ def tabulated_density(xs, fs, name="tabulated"):
     """Build a density from samples (x_i, f(x_i)) by monotone cubic interpolation.
 
     Grid must start at 0 and increase strictly; values must be nonnegative
-    with positive total mass.  The interpolant is renormalized so its exact
-    integral is 1, the cdf is its antiderivative, and the inverse is solved
-    by bisection.  The smoothness bound is a finite-difference estimate and
-    is flagged as such.
+    with positive total mass.  The interpolant is renormalized to integral 1,
+    the cdf is its antiderivative, and the inverse is solved by bisection.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -346,10 +347,6 @@ def tabulated_density(xs, fs, name="tabulated"):
 
     pdf = _masked(upper, lambda x: np.maximum(np.asarray(shape(x)) / total, 0.0))
     cdf = _clipped_cdf(upper, lambda x: np.asarray(anti(x)) / total)
-    fine = np.linspace(0.0, upper, 4001)
-    fvals = pdf(fine)
-    deriv = np.asarray(shape.derivative()(fine)) / total
-    bound = float(max(np.max(np.abs(fvals)), np.max(np.abs(deriv))))
 
     spec = DensitySpec(
         name=name,
@@ -357,8 +354,6 @@ def tabulated_density(xs, fs, name="tabulated"):
         pdf=pdf,
         cdf=cdf,
         inverse_cdf=_bisect_inverse(cdf, upper),
-        smoothness_bound=bound,
-        smoothness_is_estimate=True,
         breakpoints=tuple(float(v) for v in xs[1:-1]),
     )
     verify_density(spec)

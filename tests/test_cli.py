@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import partial_records as pr
-from partial_records import cli, simulate
+from partial_records import cli, discrete, simulate
 from partial_records.cli import main
 
 
@@ -390,12 +390,27 @@ def test_discrete_sweep_outputs(tmp_path, capsys, total6_file):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["pass"] is True
-    assert summary["convergence_slope"] < -0.7
-    sweep_lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
-    assert len(sweep_lines) == 5
+    with open(out_dir / "sweep.csv", newline="") as fh:
+        sweep_rows = list(csv.DictReader(fh))
+    assert len(sweep_rows) == 4
+    assert all(float(row["abs_error"]) <= float(row["bound"]) for row in sweep_rows)
     lemma_lines = (out_dir / "lemma.csv").read_text().strip().splitlines()
     # header + 4 relations x 4 m values x 3 r values
     assert len(lemma_lines) == 1 + 4 * 4 * 3
+
+
+def test_discrete_sweep_judges_each_row_by_its_bound(tmp_path, capsys, monkeypatch, total6_file):
+    def sweep(out_dir):
+        return main(["discrete-sweep", "--plan", total6_file, "--positions", "3,6",
+                     "--density", "power(2)", "--m", "8", "--out", str(out_dir)])
+
+    # one m, and error/bound is 0.63 there: a halved bound fails the one row
+    assert sweep(tmp_path / "ok") == 0
+    error_bound = discrete.error_bound
+    monkeypatch.setattr(discrete, "error_bound", lambda *args: error_bound(*args) / 2)
+    assert sweep(tmp_path / "halved") == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"FAIL -> {tmp_path / 'halved'}"
+    assert json.loads((tmp_path / "halved" / "summary.json").read_text())["pass"] is False
 
 
 def _sweep_argv(plan_file, out_dir, density="smoothstep", m="8,16,64", r_values="1,2,3"):
@@ -446,19 +461,20 @@ def test_discrete_sweep_rejects_bad_params_before_work(
     assert list(out_dir.iterdir()) == []
 
 
-# sha256 of the outputs, taken before exact grids moved to integer numerators
-# (summary.json: since plan_hash covers the O(j) plan form, schema 2);
+# sha256 of the outputs; lemma.csv taken before exact grids moved to integer
+# numerators, sweep.csv and summary.json since the sweep is judged by
+# error_bound (its bound column; no slope or smoothness keys);
 # smoothstep runs the exact path, power(3/2) the float path
 SWEEP_DIGESTS = {
     "smoothstep": {
-        "sweep.csv": "90e38a4ef8fa107b0fa1d96ddf80dce1d0ce03abc90901c45f5e611de2e281fb",
+        "sweep.csv": "2370e1f00359b5a4f65ec0948e85709e843868eee00a87f12004bd5012dbb378",
         "lemma.csv": "16181ab9a3afdf80457777dc4f856e5452ae604624d6fd12a6688cd1ed621dca",
-        "summary.json": "d9db7cc83005cc900d7e6eab9a2bebd0595cba7d655b4703a1974f44c326a865",
+        "summary.json": "a5468a4af1e26d1d9f1c4518abe6f49fde99ced9b7f626b410c7560bba5e5f51",
     },
     "power(3/2)": {
-        "sweep.csv": "a1fd364276d70c1adaec31f4a62de1fe6dcc3e7a4fa00146153fcebdfbd28d9c",
+        "sweep.csv": "3aebd4ac619145cca97d527ccd21006ec49b6ef4cedbe6f0809c3674daf5d418",
         "lemma.csv": "904ddb0746505350a1212fd71a5c90db7efece36b95c536e7f4ab38a3ea9f796",
-        "summary.json": "7e08fc55e5935806acdde00994335cfb4c3331e3be579041e777ef8848e1df1c",
+        "summary.json": "caa04f1fae6e8f5d62a8d0125de66616838267be7427df952d8563012fd3816b",
     },
 }
 

@@ -300,3 +300,75 @@ def test_recursion_equals_reference_on_random_plans():
         joint = pr.joint_record_prob_discrete(plan, positions, model)
         assert joint == (sum(point, zero) if model.exact else math.fsum(point))
         assert type(joint) is type(zero)
+
+
+# error_bound against its formula written out term by term:
+# P (g/2) sum_{t: c_t >= 2} c_t prod_{s>t} c_s/(c_s - 1), P = prod 1/c_t
+
+
+def _reference_bound(plan, positions, g):
+    cards = [plan.cardinality(t) for t in positions]
+    terms = [c * math.prod(Fraction(s, s - 1) for s in cards[i + 1:])
+             for i, c in enumerate(cards) if c >= 2]
+    return sum(terms, Fraction(0)) * g / 2 / math.prod(cards)
+
+
+def test_error_bound_holds_exactly_on_random_plans():
+    rng = np.random.default_rng(20261020)
+    for _ in range(30):
+        plan = pr.as_validated(pr.random_compatible_plan(rng, max_index=8))
+        count = int(rng.integers(1, plan.length + 1))
+        positions = tuple(sorted(int(t) + 1 for t in rng.choice(plan.length, count, replace=False)))
+        target = pr.joint_record_prob(plan, positions)
+        for name in EXACT_BUILTINS:
+            for m in (1, 2, 3, 5, 8, 64):
+                if m == 1 and name in ("smoothstep", "triangular"):
+                    continue  # f(0) = f(1) = 0: the m = 1 grid has no mass
+                model = pr.discretize(pr.builtin(name), m)
+                discrete = sum(_reference_point_masses(plan, positions, model), Fraction(0))
+                bound = pr.error_bound(plan, positions, model)
+                assert bound == _reference_bound(plan, positions, max(_masses(model)[0]))
+                assert 0 <= target - discrete <= bound, (name, m, positions)
+
+
+def test_error_bound_covers_float_models_within_the_rounding_allowance():
+    grid = np.linspace(0.0, 1.0, 51)
+    densities = (
+        pr.power_density(Fraction(3, 2)),
+        pr.tabulated_density(grid, 6 * grid * (1 - grid)),
+        pr.tabulated_density(grid, np.ones(51)),  # uniform atoms: the bound is tight at c = 2
+    )
+    plan = pr.total_comparison_plan(6)
+    for density in densities:
+        for m in (2, 3, 8, 64):
+            model = pr.discretize(density, m)
+            assert not model.exact
+            for positions in ((1,), (2,), (2, 3), (3, 6), (1, 2, 3, 4, 5, 6)):
+                discrete = pr.joint_record_prob_discrete(plan, positions, model)
+                bound = pr.error_bound(plan, positions, model)
+                allowance = (model.atom_count + len(positions)) * 2.0**-52
+                exact_part = float(_reference_bound(plan, positions, Fraction(max(model.weights))))
+                assert bound - allowance == pytest.approx(exact_part, rel=1e-12, abs=0.0)
+                assert abs(discrete - pr.joint_record_prob(plan, positions)) <= bound
+    # position 1 is always a record, so only rounding separates P_m from 1
+    assert pr.error_bound(plan, (1,), model) == (model.atom_count + 1) * 2.0**-52
+
+
+def test_error_bound_is_attained_by_uniform01_at_c_2():
+    plan = pr.total_comparison_plan(3)
+    for m in (1, 2, 8, 64):
+        model = pr.discretize(pr.uniform01(), m)
+        gap = Fraction(1, 2) - pr.joint_record_prob_discrete(plan, (2,), model)
+        assert gap == pr.error_bound(plan, (2,), model) == Fraction(1, 2 * (m + 1))
+    assert gap == Fraction(1, 130)
+
+
+def test_error_bound_needs_its_product_factor():
+    # (g/2) sum c_t, without prod c_s/(c_s - 1), fails on consecutive positions
+    plan = pr.total_comparison_plan(6)
+    positions = (1, 2, 3, 4, 5, 6)
+    model = pr.discretize(pr.uniform01(), 64)
+    gap = Fraction(1, 720) - pr.joint_record_prob_discrete(plan, positions, model)
+    naive = Fraction(1, 720) * Fraction(1, 65) / 2 * sum(range(2, 7))
+    assert round(float(gap / naive), 3) == 1.374
+    assert gap <= pr.error_bound(plan, positions, model)

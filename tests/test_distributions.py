@@ -47,17 +47,30 @@ def _step(cuts=(0, Fraction(1, 2), 1), pdf=((Fraction(1, 2),), (Fraction(3, 2),)
         u = np.asarray(u, dtype=float)
         return np.where(u <= 0.25, 2.0 * u, (2.0 * u + 1.0) / 3.0)
 
-    return pr.rational_density("step", cuts, pdf, inverse, 1.5)
+    return pr.rational_density("step", cuts, pdf, inverse)
 
 
 def test_rational_density_rejects_a_mass_other_than_one():
     with pytest.raises(pr.BadParams, match="mass 2, not 1"):
         _step(pdf=((1,), (3,)))
     with pytest.raises(pr.BadParams, match="mass 1/2, not 1"):
-        pr.rational_density("half", (0, 1), [(0, 1)], lambda u: u, 1.0)
+        pr.rational_density("half", (0, 1), [(0, 1)], lambda u: u)
     for cuts in [(), (Fraction(1, 4), 1), (0, 1, Fraction(1, 2)), (0, 1)]:
         with pytest.raises(pr.BadParams, match="cuts must rise from 0"):
             _step(cuts=cuts)
+
+
+def test_rational_density_rejects_a_negative_bernstein_coefficient():
+    # mass 1, but 3 - 4x < 0 past x = 3/4: Bernstein coefficients 3 and -1
+    with pytest.raises(pr.BadParams, match=r"negative Bernstein coefficient on \[0, 1\]"):
+        pr.rational_density("neg", (0, 1), [(3, -4)], lambda u: u)
+    # mass 1 again; only the second piece, 3 - 4x on [1/2, 1], dips below 0
+    with pytest.raises(pr.BadParams, match=r"on \[1/2, 1\]"):
+        _step(pdf=((2,), (3, -4)))
+    # coefficients 0 at the ends, where f = 0, still pass
+    names = ["uniform01", "smoothstep", "triangular", "power(2)", "power(3)", "power(6)"]
+    for name in names + [f"truncated_ramp({cap})" for cap in ("1/3", "1/2", "7/10", "1")]:
+        assert pr.builtin(name).pieces is not None
 
 
 def test_a_point_on_a_cut_takes_the_left_piece():
@@ -86,7 +99,6 @@ def test_smoothstep_values():
     assert _exact(s, "cdf", Fraction(1, 2)) == Fraction(1, 2)
     assert _exact(s, "pdf", Fraction(1, 2)) == Fraction(3, 2)
     assert float(s.inverse_cdf(0.5)) == pytest.approx(0.5, abs=1e-14)
-    assert s.smoothness_bound == 6.0
 
 
 def test_power_cdf_and_inverse():
@@ -99,7 +111,6 @@ def test_power_cdf_and_inverse():
     # non-integer exponents have no polynomial pieces and unbounded f' near 0
     p15 = pr.power_density(1.5)
     assert p15.pieces is None
-    assert p15.smoothness_bound is None
 
 
 def test_truncated_ramp_piecewise_forms():
@@ -163,7 +174,6 @@ def test_tabulated_density_reproduces_smoothstep():
     grid = np.linspace(0.0, 1.0, 201)
     s = pr.smoothstep_density()
     tab = pr.tabulated_density(grid, np.asarray(s.pdf(grid)), name="tab-smooth")
-    assert tab.smoothness_is_estimate
     xs = np.linspace(0.0, 1.0, 97)
     assert float(np.max(np.abs(np.asarray(tab.cdf(xs)) - np.asarray(s.cdf(xs))))) < 1e-6
     us = np.linspace(0.01, 0.99, 37)
