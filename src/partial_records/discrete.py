@@ -12,16 +12,16 @@ quantities:
   continuous product formula by at most error_bound, an explicit O(1/m)
   bound that reads the model only through its largest atom.
 
-One rule picks the arithmetic: a density with polynomial pieces (built by
-distributions.rational_density) is evaluated in exact integers, any other
-density in floats.  _grid applies it once per (density, m), and the
-DiscreteModel gives atom l the mass weights[l] / scale: an exact model's
-integer pdf numerators over their sum, a float model's normalized masses
-over 1.0.  The recursion, the lemma checks and the exhaustive oracle read
-those numbers with no branch of their own.  _zero and _ratio give a value
-its type, and _deviations cross-multiplies exact lemma sides where float
-ones divide, so exact identities are free of rounding noise without a gcd
-per operation, and a Fraction is built only for each returned value.
+The layer has one arithmetic, integers.  _grid samples the pdf and cdf
+once per (density, m) as integer numerators over one denominator each, in
+lowest terms: a density with polynomial pieces (built by
+distributions.rational_density) exactly, any other density through its
+float samples, each of which is a dyadic rational n / 2^k taken as it is.
+The DiscreteModel gives atom l the mass weights[l] / scale, the pdf
+numerators over their sum.  The recursion, the lemma checks and the
+exhaustive oracle work on those integers, _deviations cross-multiplies the
+two sides of a lemma identity onto one denominator, and a Fraction is built
+only for each returned value, so no result carries rounding noise.
 """
 
 from __future__ import annotations
@@ -49,42 +49,27 @@ class DiscreteModel:
     """Atoms of a density sampled on {l/m : l = 0..atom_count-1}.
 
     Atom l has mass weights[l] / scale, and below[l] / scale is the mass
-    strictly below atom l (length atom_count + 1).  An exact model holds
-    integer weights over their sum, a float model normalized masses over 1.0.
+    strictly below atom l (length atom_count + 1): integer weights over
+    their sum.
     """
 
     m: int
     density_name: str
     weights: tuple
     below: tuple
-    scale: object  # int when exact, else 1.0
-    exact: bool
+    scale: int
 
     @property
     def atom_count(self):
         return len(self.weights)
 
 
-def _zero(exact):
-    """The empty sum of the discrete layer: int 0 on exact grids, else 0.0."""
-    return 0 if exact else 0.0
-
-
-def _ratio(numerator, denominator, exact):
-    """A returned value: the Fraction numerator/denominator on exact grids, the
-    float quotient otherwise."""
-    return Fraction(numerator, denominator) if exact else numerator / denominator
-
-
-def _deviations(lhs, rhs, exact):
+def _deviations(lhs, rhs):
     """|lhs - rhs| at each l as (numerators, denominator), each side given as
-    (numerators, denominator).  Exact sides cross-multiply onto one
-    denominator, so the largest numerator is the worst l; float sides divide
-    first, so each deviation is the difference of the two float values."""
+    (numerators, denominator).  The sides cross-multiply onto one
+    denominator, so the largest numerator is the worst l."""
     (a, a_den), (b, b_den) = lhs, rhs
-    if exact:
-        return [abs(x * b_den - y * a_den) for x, y in zip(a, b)], a_den * b_den
-    return [abs(x / a_den - y / b_den) for x, y in zip(a, b)], 1
+    return [abs(x * b_den - y * a_den) for x, y in zip(a, b)], a_den * b_den
 
 
 def _check_power(r):
@@ -111,11 +96,9 @@ def _grid_top(density, m):
 
 class _Grid(NamedTuple):
     """f(l/m) = pdf[l]/pdf_den for l = 0..top and F(l/m) = cdf[l]/cdf_den for
-    l = 0..top+1 (1 past the support).  Exact grids hold integer numerators
-    over their least common denominator, float grids the float values over 1."""
+    l = 0..top+1 (1 past the support), integer numerators in lowest terms."""
 
     m: int
-    exact: bool
     pdf: tuple
     pdf_den: int
     cdf: tuple
@@ -131,17 +114,31 @@ def _grid(density, m):
     pieces = density.pieces
     if pieces is None:
         xs = [float(l) / m for l in range(top + 1)]
-        pdf = tuple(float(density.pdf(x)) for x in xs)
-        cdf = tuple(float(density.cdf(x)) for x in xs) + (1.0,)
-        return _Grid(m, False, pdf, 1, cdf, 1)
-    pdf, pdf_den = pieces.grid(pieces.pdf, m, top + 1)
-    cdf, cdf_den = pieces.grid(pieces.cdf, m, top + 1)
-    return _Grid(m, True, pdf, pdf_den, cdf + (cdf_den,), cdf_den)
+        pdf, pdf_den = _dyadic(density, "pdf", [density.pdf(x) for x in xs])
+        cdf, cdf_den = _dyadic(density, "cdf", [density.cdf(x) for x in xs])
+    else:
+        pdf, pdf_den = pieces.grid(pieces.pdf, m, top + 1)
+        cdf, cdf_den = pieces.grid(pieces.cdf, m, top + 1)
+    return _Grid(m, pdf, pdf_den, cdf + (cdf_den,), cdf_den)
+
+
+def _dyadic(density, name, samples):
+    """(numerators, denominator) in lowest terms of the float samples of the
+    density's pdf or cdf (name).  A float is n / 2^k exactly, so the samples
+    share the largest 2^k, over which a sample with that k keeps its odd n.
+    pdf samples must be finite and >= 0, cdf ones finite."""
+    ratios = []
+    for l, v in enumerate(map(float, samples)):
+        if not math.isfinite(v) or (name == "pdf" and v < 0):
+            raise BadParams(f"{density.name} {name} at grid index l={l} is {v!r}")
+        ratios.append(v.as_integer_ratio())
+    den = max(d for _, d in ratios)
+    return tuple(n * (den // d) for n, d in ratios), den
 
 
 def _total(density, grid):
     """The pdf numerators' sum S, so atom l has mass pdf[l]/S."""
-    total = sum(grid.pdf) if grid.exact else math.fsum(grid.pdf)
+    total = sum(grid.pdf)
     if total <= 0:
         raise ZeroMass(f"{density.name} vanishes on the whole m={grid.m} grid")
     return total
@@ -149,10 +146,8 @@ def _total(density, grid):
 
 def _model(density, grid):
     total = _total(density, grid)
-    weights, scale = (grid.pdf, total) if grid.exact else (tuple(v / total for v in grid.pdf), 1.0)
-    below = list(accumulate(weights, initial=_zero(grid.exact)))
-    below[-1] = scale  # an exact sum already ends there; a float one absorbs rounding
-    return DiscreteModel(grid.m, density.name, weights, tuple(below), scale, grid.exact)
+    below = tuple(accumulate(grid.pdf, initial=0))
+    return DiscreteModel(grid.m, density.name, grid.pdf, below, total)
 
 
 def discretize(density, m):
@@ -165,7 +160,7 @@ def _riemann(grid, r):
     for l = 0..top+1."""
     terms = (c ** (r - 1) * f for f, c in zip(grid.pdf, grid.cdf))
     return (
-        list(accumulate(terms, initial=_zero(grid.exact))),
+        list(accumulate(terms, initial=0)),
         grid.m * grid.pdf_den * grid.cdf_den ** (r - 1),
     )
 
@@ -182,7 +177,7 @@ def theta(density, m, l, r=1):
         raise IndexOutOfRange(f"l={l} not in 0..{len(grid.pdf)}")
     r = _check_power(r)
     sums, den = _riemann(grid, r)
-    return _ratio(sums[l], den, grid.exact)
+    return Fraction(sums[l], den)
 
 
 @dataclass(frozen=True)
@@ -192,7 +187,7 @@ class LemmaDeviation:
     relation: str
     r: int
     m: int
-    deviation: object  # Fraction when exact, else float
+    deviation: Fraction
     argmax_l: int
 
     @property
@@ -211,15 +206,15 @@ def lemma_checks(density, m, r=1):
 
     Maxima are over the atom grid l = 0..atom_count-1 (normalization is a
     single full-grid deviation, reported with argmax_l = atom_count), and
-    argmax_l is the first maximal l.  Exact rational when the density has
-    polynomial pieces.  Returns {relation: LemmaDeviation}.
+    argmax_l is the first maximal l.  Returns {relation: LemmaDeviation},
+    each deviation an exact Fraction.
     """
     r = _check_power(r)
     grid = _grid(density, m)
     model = _model(density, grid)
     atoms = range(model.atom_count)
     g, below, scale = model.weights, model.below, model.scale
-    weighted = accumulate((b ** (r - 1) * v for b, v in zip(below, g)), initial=_zero(model.exact))
+    weighted = accumulate((b ** (r - 1) * v for b, v in zip(below, g)), initial=0)
     target = [c**r for c in grid.cdf]  # over r cdf_den^r: F^r(l/m)/r
     relations = {  # name: (numerators, denominator) of each side
         "riemann_theta": (_riemann(grid, r), (target, r * grid.cdf_den**r)),
@@ -228,16 +223,16 @@ def lemma_checks(density, m, r=1):
     }
 
     riemann_total = ([_total(density, grid)], grid.m * grid.pdf_den)  # (1/m) sum f(l/m)
-    values, den = _deviations(riemann_total, ([1], 1), model.exact)
+    values, den = _deviations(riemann_total, ([1], 1))
     out = {
         "normalization": LemmaDeviation(
-            "normalization", r, grid.m, _ratio(values[0], den, model.exact), len(atoms)
+            "normalization", r, grid.m, Fraction(values[0], den), len(atoms)
         )
     }
     for name, (lhs, rhs) in relations.items():
-        values, den = _deviations(lhs, rhs, model.exact)
+        values, den = _deviations(lhs, rhs)
         arg = max(atoms, key=values.__getitem__)
-        out[name] = LemmaDeviation(name, r, grid.m, _ratio(values[arg], den, model.exact), arg)
+        out[name] = LemmaDeviation(name, r, grid.m, Fraction(values[arg], den), arg)
     return out
 
 
@@ -249,7 +244,7 @@ def _point_numerators(plan, positions, model):
     power of the cardinality gap minus one) and the previous level's value
     (its strictly-below cumulative).  The model's masses are weights over
     its scale S, so a level with cardinality gap adds S^(gap+1) to the
-    denominator (1.0 for a float model, whose S is 1.0).
+    denominator.
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
@@ -262,7 +257,7 @@ def _point_numerators(plan, positions, model):
     for t in positions:
         gap = vplan.cardinality(t) - prev_card - 1
         point = [big_g[l] ** gap * g[l] * level[l] for l in range(atoms)]
-        level = list(accumulate(point, initial=_zero(model.exact)))
+        level = list(accumulate(point, initial=0))
         den *= scale ** (gap + 1)
         prev_card = vplan.cardinality(t)
     return point, den
@@ -271,17 +266,17 @@ def _point_numerators(plan, positions, model):
 def record_point_masses(plan, positions, model):
     """b[l] = P(all selected events hold and the last selected value is atom l)."""
     point, den = _point_numerators(plan, positions, model)
-    return tuple(_ratio(v, den, model.exact) for v in point)
+    return tuple(Fraction(v, den) for v in point)
 
 
 def joint_record_prob_discrete(plan, positions, model):
     """P(records at all selected positions) under the discrete model.
 
-    Exact rational when the model is exact; below the continuous product of
-    1/c(n_t) by at most error_bound.
+    An exact rational, below the continuous product of 1/c(n_t) by at most
+    error_bound.
     """
     point, den = _point_numerators(plan, positions, model)
-    return Fraction(sum(point), den) if model.exact else math.fsum(point)
+    return Fraction(sum(point), den)
 
 
 def bounded_profile(plan, positions, model):
@@ -290,8 +285,8 @@ def bounded_profile(plan, positions, model):
     Length atom_count + 1; the last entry is the unconditional joint probability.
     """
     point, den = _point_numerators(plan, positions, model)
-    below = accumulate(point, initial=_zero(model.exact))
-    return tuple(_ratio(v, den, model.exact) for v in below)
+    below = accumulate(point, initial=0)
+    return tuple(Fraction(v, den) for v in below)
 
 
 def profile_vs_continuous(plan, positions, model, density):
@@ -323,8 +318,7 @@ def error_bound(plan, positions, model):
     d G(l)^(c_{t-1} - 1) carried from level t-1 enters as a left Riemann sum
     of d u^(c_t - 2), at most d G(l)^(c_t - 1)/(c_t - 1).  The recurrence
     d_t = K g/2 + d_{t-1}/(c_t - 1) unrolls to the bound at G = 1, which
-    uniform01 attains at one c = 2.  Exact models get a Fraction, float
-    models a float plus (atom_count + len(positions)) * 2^-52 for rounding.
+    uniform01 attains at one c = 2.  The bound is a Fraction.
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
@@ -333,9 +327,7 @@ def error_bound(plan, positions, model):
     for c in (c for c in cards if c > 1):
         relative = relative * Fraction(c, c - 1) + c
     bound = relative / (2 * math.prod(cards))
-    if model.exact:
-        return bound * Fraction(max(model.weights), model.scale)
-    return float(bound) * max(model.weights) + (model.atom_count + len(positions)) * 2.0**-52
+    return bound * Fraction(max(model.weights), model.scale)
 
 
 @dataclass(frozen=True)
@@ -343,10 +335,10 @@ class SweepRow:
     """One resolution step of the discrete-vs-continuous error sweep."""
 
     m: int
-    discrete: object
-    continuous: object
-    abs_error: object
-    bound: object  # error_bound: the row passes when abs_error <= bound
+    discrete: Fraction
+    continuous: Fraction
+    abs_error: Fraction
+    bound: Fraction  # error_bound: the row passes when abs_error <= bound
 
     @property
     def scaled(self):
@@ -356,8 +348,7 @@ class SweepRow:
 def error_sweep(plan, positions, density, m_values):
     """Discrete joint probability against the continuous product over m.
 
-    Each row carries its error_bound; rows are exact rationals when the
-    density has polynomial pieces.
+    Each row carries its error_bound; every value is an exact rational.
     """
     vplan = as_validated(plan)
     positions = check_positions(vplan, positions)
@@ -367,6 +358,5 @@ def error_sweep(plan, positions, density, m_values):
         model = discretize(density, m)
         value = joint_record_prob_discrete(vplan, positions, model)
         bound = error_bound(vplan, positions, model)
-        # float - Fraction converts the Fraction, so a float model gets float errors
         rows.append(SweepRow(model.m, value, target, abs(value - target), bound))
     return tuple(rows)

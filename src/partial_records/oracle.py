@@ -220,8 +220,7 @@ def quadrature_bounded(plan, positions, x, density, tol=1e-10, max_cells=1 << 16
 
 
 def exhaustive_discrete_joint(plan, positions, model, max_outcomes=4_000_000):
-    """Enumerate all atom assignments of a discrete model; exact when the
-    model is.
+    """Enumerate all atom assignments of a discrete model; an exact rational.
 
     The relevant indices each take one of the model's atoms independently;
     an outcome contributes its product probability when every selected
@@ -247,6 +246,6 @@ def exhaustive_discrete_joint(plan, positions, model, max_outcomes=4_000_000):
     # atom l weighs weights[l] / scale, so an outcome weighs its k weights'
     # product over scale^k; int64 holds every partial sum below 2^62
     scale = model.scale
-    dtype = (np.int64 if scale**k * outcomes < 2**62 else object) if model.exact else float
+    dtype = np.int64 if scale**k * outcomes < 2**62 else object
     total = np.prod(np.array(model.weights, dtype=dtype)[vals[:, mask]], axis=0).sum()
-    return Fraction(int(total), scale**k) if model.exact else float(total)
+    return Fraction(int(total), scale**k)

@@ -463,8 +463,10 @@ def test_discrete_sweep_rejects_bad_params_before_work(
 
 # sha256 of the outputs; lemma.csv taken before exact grids moved to integer
 # numerators, sweep.csv and summary.json since the sweep is judged by
-# error_bound (its bound column; no slope or smoothness keys);
-# smoothstep runs the exact path, power(3/2) the float path
+# error_bound (its bound column; no slope or smoothness keys); smoothstep
+# runs its polynomial pieces, power(3/2) its float samples taken as exact
+# dyadic rationals (pinned since the float arithmetic and its 2^-52
+# rounding allowance were removed)
 SWEEP_DIGESTS = {
     "smoothstep": {
         "sweep.csv": "2370e1f00359b5a4f65ec0948e85709e843868eee00a87f12004bd5012dbb378",
@@ -472,9 +474,9 @@ SWEEP_DIGESTS = {
         "summary.json": "a5468a4af1e26d1d9f1c4518abe6f49fde99ced9b7f626b410c7560bba5e5f51",
     },
     "power(3/2)": {
-        "sweep.csv": "3aebd4ac619145cca97d527ccd21006ec49b6ef4cedbe6f0809c3674daf5d418",
-        "lemma.csv": "904ddb0746505350a1212fd71a5c90db7efece36b95c536e7f4ab38a3ea9f796",
-        "summary.json": "caa04f1fae6e8f5d62a8d0125de66616838267be7427df952d8563012fd3816b",
+        "sweep.csv": "efad31422335cfce2ad9b085b2e2e856c5400bcbe3850fffbc7f9a7d491610c2",
+        "lemma.csv": "c2a52bd71ff6b071097bb7a63992395198c5240284ae403a82c3f2af87628da3",
+        "summary.json": "c565980f92a0ae4bf7122adb9633dee52ed96e3c1b91baa98f8556b06024adf9",
     },
 }
 

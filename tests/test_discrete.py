@@ -5,6 +5,7 @@ freezing (see test_oracle.py for the oracle's own pinning).
 """
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -16,16 +17,35 @@ import partial_records as pr
 
 
 def _masses(model):
-    """An exact model's atom masses and strictly-below masses as Fractions."""
+    """A model's atom masses and strictly-below masses as Fractions."""
     return (
         [Fraction(w, model.scale) for w in model.weights],
         [Fraction(b, model.scale) for b in model.below],
     )
 
 
+@functools.cache
+def _float_sampled():
+    """Densities with no polynomial pieces: the discrete layer reads their
+    float samples, each an exact dyadic rational."""
+    grid = np.linspace(0.0, 1.0, 51)
+    return (
+        pr.power_density(Fraction(3, 2)),
+        pr.tabulated_density(grid, 6 * grid * (1 - grid), name="tab-smoothstep"),
+        pr.tabulated_density(grid, np.ones(51), name="tab-flat"),  # uniform atoms
+    )
+
+
+def _sampled_grid(density, m):
+    """The float samples f(l/m) and F(l/m) as Fractions, F(1 + 1/m) = 1 appended."""
+    xs = [l / m for l in range(m + 1)]
+    pdf = [Fraction(float(density.pdf(x))) for x in xs]
+    return pdf, [Fraction(float(density.cdf(x))) for x in xs] + [Fraction(1)]
+
+
 def test_discretize_uniform_masses():
     model = pr.discretize(pr.uniform01(), 4)
-    assert model.exact
+    assert model.weights == (1,) * 5 and model.scale == 5
     assert model.atom_count == 5
     masses, below = _masses(model)
     assert masses == [Fraction(1, 5)] * 5
@@ -43,16 +63,36 @@ def test_discretize_triangular_masses():
     assert _masses(pr.discretize(listed, 4)) == _masses(model)
 
 
-def test_discretize_float_model_is_normalized_over_one():
-    grid = np.linspace(0.0, 1.0, 51)
-    tab = pr.tabulated_density(grid, 6 * grid * (1 - grid))
+def test_discretize_float_samples_are_dyadic_weights():
+    tab = _float_sampled()[1]
     model = pr.discretize(tab, 6)
-    assert not model.exact
-    pdf = [float(tab.pdf(l / 6)) for l in range(7)]
-    assert model.weights == tuple(v / math.fsum(pdf) for v in pdf)
-    assert model.below[:-1] == tuple(accumulate(model.weights[:-1], initial=0.0))
-    assert model.below[-1] == 1.0
-    assert model.scale == 1
+    samples, _ = _sampled_grid(tab, 6)
+    # one power of two carries every sample to its integer weight, and no
+    # smaller one does: the weights are the samples in lowest terms
+    den = Fraction(model.weights[1]) / samples[1]
+    assert den.denominator == 1 and den.numerator.bit_count() == 1
+    assert model.weights == tuple(v * den for v in samples)
+    assert all(type(w) is int for w in model.weights)
+    assert math.gcd(den.numerator, *model.weights) == 1
+    assert model.below == tuple(accumulate(model.weights, initial=0))
+    assert model.below[-1] == model.scale == sum(model.weights)
+
+
+def test_discretize_rejects_non_finite_or_negative_samples():
+    def spec(pdf, cdf):
+        return pr.DensitySpec(name="bad", support_upper=1.0, pdf=pdf, cdf=cdf,
+                              inverse_cdf=lambda u: u)
+
+    # f(x) = 1/(2 sqrt(x)) is a density, but its sample at 0 is infinite
+    inverse_sqrt = spec(lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf, math.sqrt)
+    with pytest.raises(pr.BadParams, match=r"pdf at grid index l=0 is inf"):
+        pr.discretize(inverse_sqrt, 4)
+    negative = spec(lambda x: 1.5 - 2 * x, lambda x: x)
+    with pytest.raises(pr.BadParams, match=r"pdf at grid index l=4 is -0.5"):
+        pr.discretize(negative, 4)
+    undefined = spec(lambda x: 1.0, lambda x: math.nan if x == 0.5 else x)
+    with pytest.raises(pr.BadParams, match=r"cdf at grid index l=2 is nan"):
+        pr.discretize(undefined, 4)
 
 
 def test_discretize_rejections():
@@ -211,8 +251,8 @@ CLOSED_FORMS = {
 EXACT_BUILTINS = tuple(CLOSED_FORMS)
 
 
-def _reference_prefix(values, zero=Fraction(0)):
-    return list(accumulate(values, initial=zero))
+def _reference_prefix(values):
+    return list(accumulate(values, initial=Fraction(0)))
 
 
 def _reference_grid(name, m):
@@ -225,8 +265,7 @@ def _reference_theta(pdf, cdf, m, r):
     return [s / m for s in _reference_prefix([c ** (r - 1) * f for f, c in zip(pdf, cdf)])]
 
 
-def _reference_lemma(name, m, r):
-    pdf, cdf = _reference_grid(name, m)
+def _reference_lemma(pdf, cdf, m, r):
     total = sum(pdf, Fraction(0))
     masses = [v / total for v in pdf]
     below = _reference_prefix(masses)
@@ -248,16 +287,14 @@ def _reference_lemma(name, m, r):
 
 
 def _reference_point_masses(plan, positions, model):
-    zero = Fraction(0) if model.exact else 0.0
-    # a float model's scale is 1.0, so its masses are its weights, bit for bit
-    masses, below = _masses(model) if model.exact else (model.weights, model.below)
+    masses, below = _masses(model)
     point, level, prev = None, None, 0
     for t in positions:
         gap = plan.cardinality(t) - prev - 1
         point = [below[l] ** gap * masses[l] for l in range(model.atom_count)]
         if level is not None:
             point = [p * b for p, b in zip(point, level)]
-        level = _reference_prefix(point, zero)
+        level = _reference_prefix(point)
         prev = plan.cardinality(t)
     return point
 
@@ -272,34 +309,40 @@ def test_lemma_and_theta_equal_fraction_reference():
                 # integer numerators over the least common denominator
                 den = math.lcm(*(v.denominator for v in values))
                 assert pieces.grid(polys, m, m + 1) == (tuple(v * den for v in values), den)
-            model = pr.discretize(density, m)
-            masses = [v / sum(pdf) for v in pdf]
-            assert _masses(model) == (masses, _reference_prefix(masses))
-            for r in (1, 2, 3):
-                expected = _reference_lemma(name, m, r)
-                got = pr.lemma_checks(density, m, r)
-                assert {k: (v.deviation, v.argmax_l) for k, v in got.items()} == expected, (
-                    name, m, r)
-                theta = _reference_theta(pdf, cdf, m, r)
-                assert [pr.theta(density, m, l, r) for l in range(len(theta))] == theta
+            _assert_lemma_and_theta(density, m, pdf, cdf)
+    for density in _float_sampled():
+        for m in (2, 3, 8, 64):
+            _assert_lemma_and_theta(density, m, *_sampled_grid(density, m))
+
+
+def _assert_lemma_and_theta(density, m, pdf, cdf):
+    """The model, lemma_checks and theta against the reference on the grid
+    values pdf and cdf."""
+    masses = [v / sum(pdf) for v in pdf]
+    assert _masses(pr.discretize(density, m)) == (masses, _reference_prefix(masses))
+    for r in (1, 2, 3):
+        got = pr.lemma_checks(density, m, r)
+        assert {k: (v.deviation, v.argmax_l) for k, v in got.items()} == _reference_lemma(
+            pdf, cdf, m, r), (density.name, m, r)
+        theta = _reference_theta(pdf, cdf, m, r)
+        assert [pr.theta(density, m, l, r) for l in range(len(theta))] == theta
 
 
 def test_recursion_equals_reference_on_random_plans():
     rng = np.random.default_rng(20261018)
-    densities = [pr.builtin(name) for name in EXACT_BUILTINS + ("power(3/2)",)]
-    for i in range(60):
+    densities = [pr.builtin(name) for name in EXACT_BUILTINS] + list(_float_sampled())
+    for i in range(9 * len(densities)):
         plan = pr.as_validated(pr.random_compatible_plan(rng, max_index=8))
         count = int(rng.integers(1, plan.length + 1))
         positions = tuple(sorted(int(t) + 1 for t in rng.choice(plan.length, count, replace=False)))
         density = densities[i % len(densities)]
         model = pr.discretize(density, int(rng.choice([2, 3, 5, 8])))
         point = _reference_point_masses(plan, positions, model)
-        zero = Fraction(0) if model.exact else 0.0
         assert pr.record_point_masses(plan, positions, model) == tuple(point)
-        assert pr.bounded_profile(plan, positions, model) == tuple(_reference_prefix(point, zero))
+        assert pr.bounded_profile(plan, positions, model) == tuple(_reference_prefix(point))
         joint = pr.joint_record_prob_discrete(plan, positions, model)
-        assert joint == (sum(point, zero) if model.exact else math.fsum(point))
-        assert type(joint) is type(zero)
+        assert joint == sum(point, Fraction(0))
+        assert type(joint) is Fraction
 
 
 # error_bound against its formula written out term by term:
@@ -315,43 +358,65 @@ def _reference_bound(plan, positions, g):
 
 def test_error_bound_holds_exactly_on_random_plans():
     rng = np.random.default_rng(20261020)
+    densities = [pr.builtin(name) for name in EXACT_BUILTINS] + list(_float_sampled())
+    models = [
+        pr.discretize(density, m)
+        for density in densities
+        for m in (1, 2, 3, 5, 8, 64)
+        # f(0) = f(1) = 0: the m = 1 grid has no mass
+        if not (m == 1 and density.name in ("smoothstep", "triangular", "tab-smoothstep"))
+    ]
     for _ in range(30):
         plan = pr.as_validated(pr.random_compatible_plan(rng, max_index=8))
         count = int(rng.integers(1, plan.length + 1))
         positions = tuple(sorted(int(t) + 1 for t in rng.choice(plan.length, count, replace=False)))
         target = pr.joint_record_prob(plan, positions)
-        for name in EXACT_BUILTINS:
-            for m in (1, 2, 3, 5, 8, 64):
-                if m == 1 and name in ("smoothstep", "triangular"):
-                    continue  # f(0) = f(1) = 0: the m = 1 grid has no mass
-                model = pr.discretize(pr.builtin(name), m)
-                discrete = sum(_reference_point_masses(plan, positions, model), Fraction(0))
-                bound = pr.error_bound(plan, positions, model)
-                assert bound == _reference_bound(plan, positions, max(_masses(model)[0]))
-                assert 0 <= target - discrete <= bound, (name, m, positions)
+        for model in models:
+            discrete = sum(_reference_point_masses(plan, positions, model), Fraction(0))
+            bound = pr.error_bound(plan, positions, model)
+            assert bound == _reference_bound(plan, positions, max(_masses(model)[0]))
+            assert 0 <= target - discrete <= bound, (model.density_name, model.m, positions)
 
 
-def test_error_bound_covers_float_models_within_the_rounding_allowance():
-    grid = np.linspace(0.0, 1.0, 51)
-    densities = (
-        pr.power_density(Fraction(3, 2)),
-        pr.tabulated_density(grid, 6 * grid * (1 - grid)),
-        pr.tabulated_density(grid, np.ones(51)),  # uniform atoms: the bound is tight at c = 2
-    )
+def test_error_bound_holds_exactly_on_float_sampled_models():
     plan = pr.total_comparison_plan(6)
-    for density in densities:
+    for density in _float_sampled():
         for m in (2, 3, 8, 64):
             model = pr.discretize(density, m)
-            assert not model.exact
             for positions in ((1,), (2,), (2, 3), (3, 6), (1, 2, 3, 4, 5, 6)):
                 discrete = pr.joint_record_prob_discrete(plan, positions, model)
                 bound = pr.error_bound(plan, positions, model)
-                allowance = (model.atom_count + len(positions)) * 2.0**-52
-                exact_part = float(_reference_bound(plan, positions, Fraction(max(model.weights))))
-                assert bound - allowance == pytest.approx(exact_part, rel=1e-12, abs=0.0)
-                assert abs(discrete - pr.joint_record_prob(plan, positions)) <= bound
-    # position 1 is always a record, so only rounding separates P_m from 1
-    assert pr.error_bound(plan, (1,), model) == (model.atom_count + 1) * 2.0**-52
+                assert bound == _reference_bound(plan, positions, max(_masses(model)[0]))
+                assert 0 <= pr.joint_record_prob(plan, positions) - discrete <= bound
+            # position 1 is always a record: P_m = 1 and the bound is 0
+            assert pr.joint_record_prob_discrete(plan, (1,), model) == 1
+            assert pr.error_bound(plan, (1,), model) == 0
+    # uniform atoms attain the bound at c = 2, as uniform01 does
+    flat = pr.discretize(_float_sampled()[2], 64)
+    gap = Fraction(1, 2) - pr.joint_record_prob_discrete(plan, (2,), flat)
+    assert gap == pr.error_bound(plan, (2,), flat) == Fraction(1, 130)
+
+
+def test_worst_case_dyadic_denominators_stay_exact():
+    # samples of 1e-300, or a subnormal 5e-324, put the weights over about
+    # 2^1075: the longest integers the float-sampled grids can produce
+    grid = np.linspace(0.0, 1.0, 33)  # dyadic nodes, so every m below samples them
+    subnormal = np.ones(33)
+    subnormal[16] = 5e-324
+    densities = (
+        pr.tabulated_density(grid, np.where(grid < 0.5, 1e-300, 1.0), name="tab-tiny"),
+        pr.tabulated_density(grid, subnormal, name="tab-subnormal"),
+    )
+    plan = pr.total_comparison_plan(50)
+    for density in densities:
+        for m in (8, 64):
+            assert pr.discretize(density, m).scale.bit_length() > 1040
+            _assert_lemma_and_theta(density, m, *_sampled_grid(density, m))
+        for positions in ((1,), (2, 3), (3, 6), (10, 50)):
+            for row in pr.error_sweep(plan, positions, density, (8, 64, 1024)):
+                assert type(row.discrete) is Fraction and type(row.bound) is Fraction
+                assert row.abs_error == row.continuous - row.discrete
+                assert 0 <= row.abs_error <= row.bound, (density.name, row.m, positions)
 
 
 def test_error_bound_is_attained_by_uniform01_at_c_2():

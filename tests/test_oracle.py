@@ -250,12 +250,13 @@ def test_exhaustive_discrete_oracle_big_integer_path():
 
 
 def test_exhaustive_discrete_oracle_float_models():
-    # tabulated densities have no rational hooks; oracle returns floats
+    # tabulated densities have no polynomial pieces; their float samples are
+    # exact dyadic rationals, so the oracle is exact on them too
     grid = np.linspace(0.0, 1.0, 51)
     tab = pr.tabulated_density(grid, 6 * grid * (1 - grid))
     model = pr.discretize(tab, 6)
     plan = pr.total_comparison_plan(3)
     got = pr.exhaustive_discrete_joint(plan, (2,), model)
     want = pr.joint_record_prob_discrete(plan, (2,), model)
-    assert isinstance(got, float)
-    assert got == pytest.approx(want, abs=1e-12)
+    assert isinstance(got, Fraction)
+    assert got == want

@@ -105,7 +105,7 @@ _TAB = pr.tabulated_density(_XS, 6 * _XS * (1 - _XS), name="tabulated smoothstep
         (lambda l: pr.theta(pr.uniform01(), 4, l), 2.5, np.int64(2), Fraction(1, 2)),
         (lambda r: pr.theta(pr.uniform01(), 4, 2, r=r), 1.5, np.int64(2), Fraction(1, 16)),
         (lambda r: pr.lemma_checks(pr.uniform01(), 4, r=r)["cum_vs_cdf"].r, 1.5, np.int64(2), 2),
-        # a float grid has no Fraction arithmetic to trip over a float power
+        # a tabulated density's grid is integers too, so r is checked the same way
         (lambda r: pr.lemma_checks(_TAB, 4, r=r)["cum_vs_cdf"].r, 1.5, np.int64(2), 2),
         (lambda k: pr.replay(pr.SimConfig(_TEN, pr.uniform01(), 5, 1), k).replication,
          2.7, np.int64(2), 2),
