@@ -218,6 +218,7 @@ def cmd_simulate(args):
         "density": density.name,
         "n": result.n,
         "seed": args.seed,
+        "streams": _simulate.STREAMS,
         "horizon": result.horizon,
         "z": args.z,
         "tie_count": result.tie_count,

@@ -172,11 +172,13 @@ class ValidatedPlan:
 
 def _index(value, what):
     """value as an exact int: operator.index takes numpy integers and refuses
-    floats, which int() would silently truncate."""
+    floats, which int() would silently truncate; bools are refused too."""
     try:
-        return operator.index(value)
+        if type(value) is not bool:
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _int_set(s):

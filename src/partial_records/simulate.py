@@ -1,10 +1,9 @@
 """Monte Carlo estimation of record events with replayable keyed streams.
 
 Determinism policy: the value at sequence index i in replication k is
-inverse_cdf(u), where u is element k of the Philox stream keyed by
-(master_seed, i), counter 0.  A run streams the plan positions in order with
-one Philox generator, re-keyed for each column.  Any single draw can be
-regenerated after the fact for auditing.
+inverse_cdf(u), where u is element k of PCG64DXSM(master_seed).jumped(i).
+A run keeps one generator and seeks it to each column with one `advance`.
+Any single draw can be regenerated after the fact for auditing.
 
 Chunks: nested comparison sets mean one running maximum per replication
 suffices.  A block draws its columns in plan order into chunks of
@@ -17,16 +16,15 @@ replications with a row at or above their chunk-start maximum can hit or tie
 there, and late in a long plan most chunks have none.  No output byte depends
 on CHUNK.
 
-Blocks: replications are independent, so `run` splits 0..n-1 into contiguous
-blocks, one per usable CPU once each block holds at least MIN_BLOCK
-replications, and runs each block's pass over the positions on its own
-thread (the draws, ufuncs and indexing release the GIL).  Block starts are
-multiples of 4: Philox4x64 yields four doubles per counter step, so a block
-starting at replication lo jumps lo // 4 steps after each re-key and draws
-exactly the elements lo.. of every stream.  Each block writes its columns of
-the record time and value arrays in place, and every other tally is an exact
-Python integer summed over replications, so the merged result is
-bit-identical for every block count, thread count and memory layout.
+Blocks: replications are independent, so `run` splits 0..n-1 into near-equal
+contiguous blocks, one per usable CPU once each block holds at least
+MIN_BLOCK replications, and runs each block's pass over the positions on its
+own thread (the draws, ufuncs and indexing release the GIL).  A block that
+starts at replication lo draws elements lo.. of every stream.  Each block
+writes its columns of the record time and value arrays in place, and every
+other tally is an exact Python integer summed over replications, so the
+merged result is bit-identical for every block count, thread count and
+memory layout.
 
 Rank domain: inverse_cdf must be non-decreasing, so the maximum of the values
 is the transform of the maximum uniform, and a value can exceed it only if its
@@ -61,51 +59,42 @@ MIN_BLOCK = 2**14
 # Most draws a block holds before it tallies them: max(1, CHUNK // width)
 # rows of its `width` replications.
 CHUNK = 2**16
+# The step of NumPy's PCG64DXSM.jumped: (phi - 1) * 2**128, made odd.
+JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+# The stream contract, as run outputs record it.
+STREAMS = "PCG64DXSM(seed).jumped(time_index)"
 
 
 class _KeyedStreams:
-    """One Philox generator, re-keyed to the stream of each sequence index.
+    """The streams of one master seed, read through one seekable generator.
 
-    Re-keying assigns the state of a freshly keyed Philox (key (master_seed,
-    time_index), counter 0, empty buffer), so every draw equals that of
-    Philox(key=[master_seed, time_index]) without building one per column.
-    Philox4x64 yields four doubles per counter step, so streams for a block
-    that starts at replication `first` (a multiple of 4) jump first // 4
-    steps after each re-key.
+    Stream i is PCG64DXSM(master_seed).jumped(i), NumPy's documented way to
+    build non-overlapping parallel streams: its element k is offset
+    i * JUMP + k of one sequence.  A power-of-two step would leave two
+    streams' LCG states sharing their low bits; odd JUMP does not.  `_at` is
+    the offset of the next draw, and a seek is one `advance` from it.
     """
 
     def __init__(self, master_seed, first=0):
-        self._bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+        self._bitgen = np.random.PCG64DXSM(master_seed)
         self._generator = np.random.Generator(self._bitgen)
-        # held in lists, which the state setter reads twice as fast as arrays
-        self._state = self._bitgen.state
-        self._state["state"] = {k: v.tolist() for k, v in self._state["state"].items()}
-        self._state["buffer"] = self._state["buffer"].tolist()
-        self._key = self._state["state"]["key"]
-        self._skip = first // 4
-
-    def _rekey(self, time_index, steps):
-        self._key[1] = time_index
-        self._bitgen.state = self._state
-        if steps:
-            self._bitgen.advance(steps)
+        self._first = first
+        self._at = 0
 
     def uniforms(self, time_index, count=None, out=None):
         """`count` uniforms of one stream from replication `first` on (or fill `out`)."""
-        self._rekey(time_index, self._skip)
-        return self._generator.random(count, out=out)
-
-    def uniform_at(self, time_index, k):
-        """Element k of one stream: jump k // 4 steps and draw the rest."""
-        self._rekey(time_index, k // 4)
-        return self._generator.random(k % 4 + 1)[-1]
+        offset = time_index * JUMP + self._first
+        self._bitgen.advance((offset - self._at) % 2**128)
+        u = self._generator.random(count, out=out)
+        self._at = offset + u.size
+        return u
 
 
 def column(master_seed, time_index, count, density):
     """The first `count` replication values at one sequence index.
 
-    Keyed Philox stream, always generated from position 0 so that any
-    prefix of a longer run reproduces exactly.
+    Elements 0..count-1 of PCG64DXSM(master_seed).jumped(time_index), so
+    any prefix of a longer run reproduces exactly.
     """
     u = _KeyedStreams(master_seed).uniforms(time_index, int(count))
     return np.asarray(density.inverse_cdf(u), dtype=float)
@@ -139,6 +128,8 @@ class SimConfig:
         n = _index(self.replications, "replications")
         if n < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
+        if _index(self.master_seed, "master_seed") < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         joint = tuple(check_positions(vplan, self.joint_positions)) if self.joint_positions else ()
         if joint and joint[-1] > horizon:
             raise IndexOutOfRange(f"joint position {joint[-1]} beyond horizon {horizon}")
@@ -331,16 +322,17 @@ def _block_count(n):
 
 
 def _blocks(n, count):
-    """At most `count` contiguous [lo, hi) ranges covering 0..n-1, each lo a
-    multiple of 4."""
-    step = 4 * -(-n // (4 * count))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    """min(n, count) contiguous [lo, hi) ranges covering 0..n-1, whose
+    lengths differ by at most 1."""
+    count = min(n, count)
+    cuts = [n * b // count for b in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _run_block(config, vplan, horizon, joint, checkpoints, times, values, bounds):
     """The pass over plan positions for replications lo..hi-1; returns its _Tally."""
     lo, hi = bounds
-    streams = _KeyedStreams(int(config.master_seed), lo)
+    streams = _KeyedStreams(config.master_seed, lo)
     tally = _Tally(config.density.inverse_cdf, times[:, lo:hi], values[:, lo:hi])
     running_max = np.full(hi - lo, -np.inf)  # uniforms, like the candidates
     rows = np.empty((max(1, CHUNK // (hi - lo)), hi - lo))
@@ -499,9 +491,9 @@ def replay(config, replication):
     k = _index(replication, "replication")
     if not 0 <= k < n:
         raise IndexOutOfRange(f"replication {k} not in 0..{n - 1}")
-    streams = _KeyedStreams(int(config.master_seed))
+    streams = _KeyedStreams(config.master_seed, k)
     indices = vplan.drawn_indices(horizon)
-    u = np.array([streams.uniform_at(idx, k) for idx in indices])
+    u = np.concatenate([streams.uniforms(idx, 1) for idx in indices])
     draws = dict(zip(indices, np.asarray(config.density.inverse_cdf(u), dtype=float).tolist()))
     indicators = []
     for t in range(1, horizon + 1):

@@ -218,7 +218,7 @@ def test_simulate_outputs_and_gates(tmp_path, capsys, total6_file):
     "options",
     [["--r", "0", "--grid", "0.5"], ["--z", "-4"], ["--z", "0"], ["--z", "nan"], ["--z", "inf"],
      ["--r", "2", "--grid", "nan,0.5"], ["--r", "2", "--grid", "0.5,inf"],
-     ["--r", "2", "--grid=-inf"]],
+     ["--r", "2", "--grid=-inf"], ["--seed", "-1"]],
 )
 def test_simulate_rejects_bad_options_before_the_run(tmp_path, capsys, total6_file, options):
     out_dir = tmp_path / "run"
@@ -227,6 +227,16 @@ def test_simulate_rejects_bad_options_before_the_run(tmp_path, capsys, total6_fi
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
+
+
+def test_simulate_takes_a_seed_of_2_to_the_64_and_records_its_streams(tmp_path, total6_file):
+    out_dir = tmp_path / "run"
+    argv = ["simulate", "--plan", total6_file, "--density", "uniform01", "--n", "1000",
+            "--seed", str(2**64), "--out", str(out_dir)]
+    assert main(argv) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["seed"] == 2**64
+    assert summary["streams"] == "PCG64DXSM(seed).jumped(time_index)"
 
 
 def test_simulate_deterministic_bytes(tmp_path, total6_file):

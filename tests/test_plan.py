@@ -127,6 +127,9 @@ def test_integer_inputs_reject_floats_and_keep_numpy_integers(call, bad, good, e
     # int() would truncate the float, operator.index refuses it
     with pytest.raises(ValueError, match="must be an integer"):
         call(bad)
+    if np.ndim(good) == 0:  # a bool is an int subclass, but no index
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(True)
     got = call(good)
     assert got == expected
     assert type(got) is type(expected)

@@ -208,14 +208,16 @@ def test_more_blocks_than_cores_with_fast_thread_switching(monkeypatch, partial_
         sys.setswitchinterval(interval)
 
 
-def test_blocks_tile_the_replications_from_multiples_of_4():
+def test_blocks_tile_the_replications_in_near_equal_ranges():
     for n in (1, 3, 4, 5, 1023, 4097, 200_003):
         for count in (1, 2, 3, 7):
             bounds = simulate._blocks(n, count)
             assert 1 <= len(bounds) <= count
             assert bounds[0][0] == 0 and bounds[-1][1] == n
             assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(bounds, bounds[1:]))
-            assert all(lo % 4 == 0 and lo < hi for lo, hi in bounds)
+            assert all(lo < hi for lo, hi in bounds)
+            sizes = [hi - lo for lo, hi in bounds]
+            assert max(sizes) - min(sizes) <= 1
     assert len(simulate._blocks(10_001, 7)) == 7
 
 
@@ -279,13 +281,44 @@ def test_run_transforms_only_record_hits():
     assert sum(transformed) <= 2 * sum(result.event_counts)
 
 
-def test_column_matches_a_freshly_keyed_philox_in_any_order():
+def test_column_matches_a_fresh_jumped_pcg64dxsm_in_any_order():
     u = pr.uniform01()
     for order in ([4, 1, 9], [9, 4, 4, 1], [1, 9, 1, 4, 9]):
         for idx in order:
-            bitgen = np.random.Philox(key=np.array([7, idx], dtype=np.uint64))
-            fresh = np.random.Generator(bitgen).random(100)
+            fresh = np.random.Generator(np.random.PCG64DXSM(7).jumped(idx)).random(100)
             assert pr.column(7, idx, 100, u).tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("lo", [1, 3, 5, 10_001])
+def test_streams_from_replication_lo_are_the_fresh_stream_from_element_lo(lo):
+    streams = simulate._KeyedStreams(7, first=lo)
+    for idx, count in ((4, 10), (1, 3), (9, 50), (4, 1), (2**40, 7)):
+        fresh = np.random.Generator(np.random.PCG64DXSM(7).jumped(idx)).random(lo + count)
+        assert streams.uniforms(idx, count).tobytes() == fresh[lo:].tobytes()
+
+
+@pytest.mark.parametrize("other", [2, 1 + 2**10, 1 + 2**20])
+def test_stream_1_is_uncorrelated_with_nearby_and_power_of_two_streams(other):
+    n = 200_000
+    u = pr.uniform01()
+    r = np.corrcoef(pr.column(2024, 1, n, u), pr.column(2024, other, n, u))[0, 1]
+    assert abs(r) * math.sqrt(n) < 5
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+def test_a_seed_must_be_a_non_negative_integer(total5, seed):
+    with pytest.raises(ValueError, match="master_seed"):
+        pr.run(_config(total5, pr.uniform01(), 10, seed))
+    with pytest.raises(ValueError, match="master_seed"):
+        pr.replay(_config(total5, pr.uniform01(), 10, seed), 0)
+
+
+@pytest.mark.parametrize("seed", [0, np.uint64(2**64 - 1), 2**64, 2**200])
+def test_every_non_negative_integer_is_a_seed(total5, seed):
+    cfg = _config(total5, pr.uniform01(), 10, seed, r_max=1)
+    first = pr.run(cfg).values_of_record(1)
+    assert first.tobytes() == pr.column(seed, 1, 10, pr.uniform01()).tobytes()
+    assert pr.replay(cfg, 9).draws[1] == first[9]
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 17, 123_457])
