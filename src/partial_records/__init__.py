@@ -18,7 +18,6 @@ from .errors import (
     NonIntegerGrid,
     PartialRecordsError,
     PlanValidationError,
-    QuadratureFailure,
     RankTooLarge,
     StateSpaceTooLarge,
     TooManyIndices,
@@ -57,7 +56,6 @@ from .distributions import (
     triangular_density,
     truncated_ramp_density,
     uniform01,
-    verify_density,
 )
 from .exact import (
     CdfInterval,
@@ -76,7 +74,6 @@ from .oracle import (
     exact_joint,
     exact_joint_table,
     exhaustive_discrete_joint,
-    quadrature_bounded,
     relevant_indices,
 )
 from .simulate import (

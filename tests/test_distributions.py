@@ -1,6 +1,5 @@
 """Built-in density families, rational pieces, the tabulated constructor, and inverse transforms."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 import partial_records as pr
+from reference import verify_density
 
 
 ALL_BUILTINS = ("uniform01", "power(2)", "power(3)", "smoothstep", "triangular", "truncated_ramp(1/2)")
@@ -15,21 +15,7 @@ ALL_BUILTINS = ("uniform01", "power(2)", "power(3)", "smoothstep", "triangular",
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_every_builtin_satisfies_the_density_contract(name):
-    pr.verify_density(pr.builtin(name))
-
-
-def test_verify_density_accepts_a_cusp_at_zero():
-    # f(x) = 1.5 sqrt(x) has an unbounded derivative at 0
-    pr.verify_density(pr.builtin("power(3/2)"))
-
-
-def test_verify_density_rejects_a_pdf_integrating_to_two():
-    u = pr.uniform01()
-    doubled = dataclasses.replace(
-        u, name="doubled", pdf=lambda x: 2.0 * np.asarray(u.pdf(x)), pieces=None
-    )
-    with pytest.raises(ValueError, match="integrates to"):
-        pr.verify_density(doubled)
+    verify_density(pr.builtin(name))
 
 
 def _exact(spec, which, x, m=8):
@@ -75,8 +61,7 @@ def test_rational_density_rejects_a_negative_bernstein_coefficient():
 
 def test_a_point_on_a_cut_takes_the_left_piece():
     step = _step()
-    pr.verify_density(step)
-    assert step.breakpoints == (0.5,)
+    verify_density(step)
     assert step.pieces.cdf == ((0, Fraction(1, 2)), (Fraction(-1, 2), Fraction(3, 2)))
     assert float(step.pdf(0.5)) == 0.5 and float(step.pdf(0.5 + 1e-12)) == 1.5
     assert [float(v) for v in step.pdf(np.array([0.0, 0.5, 1.0]))] == [0.5, 0.5, 1.5]
@@ -116,13 +101,13 @@ def test_power_cdf_and_inverse():
 def test_truncated_ramp_piecewise_forms():
     ramp = pr.truncated_ramp_density(Fraction(1, 2))
     # Z = 1/2 - 1/8 = 3/8
-    assert ramp.pieces.cuts == (0, Fraction(1, 2), 1) and ramp.breakpoints == (0.5,)
+    assert ramp.pieces.cuts == (0, Fraction(1, 2), 1)
     assert _exact(ramp, "cdf", Fraction(1, 2)) == Fraction(1, 3)
     assert _exact(ramp, "cdf", Fraction(3, 4)) == Fraction(1, 3) + Fraction(1, 2) * Fraction(1, 4) / Fraction(3, 8)
     assert _exact(ramp, "pdf", Fraction(3, 4)) == Fraction(1, 2) / Fraction(3, 8)
     # cap = 1 is the plain ramp 2x: one piece, no breakpoint
     full = pr.truncated_ramp_density(1)
-    assert full.pieces.pdf == ((0, 2),) and full.breakpoints == ()
+    assert full.pieces.cuts == (0, 1) and full.pieces.pdf == ((0, 2),)
     with pytest.raises(pr.BadParams):
         pr.truncated_ramp_density(Fraction(3, 2))
 
@@ -195,6 +180,60 @@ def test_tabulated_rejects_bad_grids():
         pr.tabulated_density([0.0, 0.5, 1.0], [1, -1, 1])
     with pytest.raises(pr.BadParams):
         pr.tabulated_density([0.0, 0.5, 1.0], [0, 0, 0])
+
+
+@pytest.mark.parametrize("column", ["x", "f"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabulated_rejects_non_finite_values_by_column_and_row(column, bad):
+    table = {"x": [0.0, 0.5, 1.0, 1.5], "f": [1.0, 2.0, 1.0, 0.5]}
+    table[column][2] = bad
+    with pytest.raises(pr.BadParams, match=rf"tabulated {column} at row 2 is {bad!r}, not finite"):
+        pr.tabulated_density(table["x"], table["f"])
+
+
+def _random_table(rng):
+    """A table of 3 to 40 nodes, on a uniform or an uneven grid, with
+    magnitudes from 1e-5 to 1e5 and a stretch of zeros in most of them."""
+    n = int(rng.integers(3, 41))
+    steps = rng.uniform(0.05, 1.0, n - 1) if rng.random() < 0.5 else np.full(n - 1, rng.uniform(0.05, 1.0))
+    xs = np.concatenate([[0.0], np.cumsum(steps)])
+    fs = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5)
+    if rng.random() < 0.7:
+        start = int(rng.integers(0, n))
+        fs[start:start + int(rng.integers(1, n))] = 0.0
+    if fs.max() == 0:
+        fs[-1] = 1.0
+    return xs, fs
+
+
+def test_tabulated_density_matches_scipy_pchip(rng):
+    from scipy.interpolate import PchipInterpolator
+
+    for _ in range(300):
+        xs, fs = _random_table(rng)
+        tab = pr.tabulated_density(xs, fs)
+        shape = PchipInterpolator(xs, fs)
+        anti = shape.antiderivative()
+        total = anti(xs[-1])
+        at = np.concatenate([xs, rng.uniform(0.0, xs[-1], 200)])
+        want_pdf = np.maximum(shape(at) / total, 0.0)
+        assert np.max(np.abs(tab.pdf(at) - want_pdf)) <= 1e-13 * max(1.0, want_pdf.max())
+        assert np.max(np.abs(tab.cdf(at) - np.clip(anti(at) / total, 0.0, 1.0))) <= 1e-13
+
+
+def test_random_tables_satisfy_the_density_contract(rng):
+    for _ in range(20):
+        xs, fs = _random_table(rng)
+        verify_density(pr.tabulated_density(xs, fs), cuts=xs[1:-1])
+
+
+def test_tiny_and_subnormal_tables_build_without_overflow():
+    plain = pr.tabulated_density([0.0, 0.5, 1.0], [0.0, 0.0, 1.0])
+    at = np.linspace(0.0, 1.0, 101)
+    for top in (1e-300, 1e-320, 5e-324):
+        tiny = pr.tabulated_density([0.0, 0.5, 1.0], [0.0, 0.0, top])
+        assert np.max(np.abs(tiny.cdf(at) - plain.cdf(at))) <= 1e-15
+        assert np.max(np.abs(tiny.cdf(tiny.inverse_cdf(at)) - at)) <= 1e-9
 
 
 def test_tabulated_from_csv(tmp_path):
