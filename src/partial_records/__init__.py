@@ -14,7 +14,6 @@ from .errors import (
     EmptySelection,
     IndexOutOfRange,
     InversionFailure,
-    NegativeCutoff,
     NonIntegerGrid,
     PartialRecordsError,
     PlanValidationError,
@@ -62,7 +61,6 @@ from .exact import (
     RecordCountStats,
     RecordTimePmf,
     cumulative_intensity,
-    harmonic_number,
     joint_record_prob,
     joint_record_prob_bounded,
     record_count_moments,
@@ -98,9 +96,6 @@ from .discrete import (
     error_sweep,
     joint_record_prob_discrete,
     lemma_checks,
-    profile_vs_continuous,
-    record_point_masses,
-    theta,
 )
 
 __version__ = "0.1.0"

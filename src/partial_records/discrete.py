@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 from .errors import (
     BadParams,
-    IndexOutOfRange,
     NonIntegerGrid,
     UnboundedSupport,
     ZeroMass,
@@ -165,21 +164,6 @@ def _riemann(grid, r):
     )
 
 
-def theta(density, m, l, r=1):
-    """Left Riemann sum (1/m) * sum_{l1 < l} F^(r-1)(l1/m) f(l1/m).
-
-    Approximates F^r(l/m)/r, the limit object behind the discrete record
-    laws.  l may run to atom_count (the full-grid sum).
-    """
-    grid = _grid(density, m)
-    l = _index(l, "grid index l")
-    if not 0 <= l <= len(grid.pdf):
-        raise IndexOutOfRange(f"l={l} not in 0..{len(grid.pdf)}")
-    r = _check_power(r)
-    sums, den = _riemann(grid, r)
-    return Fraction(sums[l], den)
-
-
 @dataclass(frozen=True)
 class LemmaDeviation:
     """Worst grid deviation of one discrete-vs-continuous identity."""
@@ -237,7 +221,8 @@ def lemma_checks(density, m, r=1):
 
 
 def _point_numerators(plan, positions, model):
-    """(numerators, denominator) of record_point_masses.
+    """(numerators, denominator) of b[l] = P(all selected events hold and
+    the last selected value is atom l).
 
     Forward recursion: at each level the new value must strictly exceed the
     comparison values added since the previous level (prefix mass G to the
@@ -263,12 +248,6 @@ def _point_numerators(plan, positions, model):
     return point, den
 
 
-def record_point_masses(plan, positions, model):
-    """b[l] = P(all selected events hold and the last selected value is atom l)."""
-    point, den = _point_numerators(plan, positions, model)
-    return tuple(Fraction(v, den) for v in point)
-
-
 def joint_record_prob_discrete(plan, positions, model):
     """P(records at all selected positions) under the discrete model.
 
@@ -287,21 +266,6 @@ def bounded_profile(plan, positions, model):
     point, den = _point_numerators(plan, positions, model)
     below = accumulate(point, initial=0)
     return tuple(Fraction(v, den) for v in below)
-
-
-def profile_vs_continuous(plan, positions, model, density):
-    """Max deviation of the discrete bounded profile from the continuous law.
-
-    The continuous law at cutoff l/m is prod(1/c) * F(l/m)^c(n_t) with t the
-    last selected position; the deviation vanishes as m grows.
-    """
-    vplan = as_validated(plan)
-    positions = check_positions(vplan, positions)
-    profile = bounded_profile(vplan, positions, model)
-    base = float(_exact.joint_record_prob(vplan, positions))
-    grid = _grid(density, model.m)
-    e = vplan.cardinality(positions[-1])
-    return max(abs(float(b) - base * (c / grid.cdf_den) ** e) for b, c in zip(profile, grid.cdf))
 
 
 def error_bound(plan, positions, model):

@@ -33,6 +33,9 @@ BUILTIN_FAMILIES = (
     "truncated_ramp(cap)",
 )
 
+# Largest integer k for which power(k) is built from exact polynomial pieces.
+EXACT_POWER_MAX = 64
+
 
 def _horner(coefficients, x):
     """sum_k coefficients[k] * x^k, constant term first; exact for int or
@@ -206,19 +209,28 @@ def uniform01():
 
 
 def power_density(k):
-    """f(x) = k x^(k-1) on [0, 1], F(x) = x^k.  Needs k >= 1."""
+    """f(x) = k x^(k-1) on [0, 1], F(x) = x^k.  Needs k >= 1.
+
+    An integer k up to EXACT_POWER_MAX gets exact polynomial pieces; any
+    other k, whose pieces would cost O(k^2) Fraction work, gets float
+    closed forms.  A k too large for a float raises BadParams.
+    """
     k_frac = Fraction(k)
     if k_frac < 1:
         raise BadParams(f"power needs k >= 1, got {k}")
-    kf = float(k_frac)
+    try:
+        kf = float(k_frac)
+    except OverflowError:
+        raise BadParams("power needs k below the largest float, about 1.8e308") from None
     if k_frac == 1:
         return uniform01()
     inverse = lambda u: np.power(_clip01(u), 1.0 / kf)
-    if k_frac.denominator == 1:
+    integer = k_frac.denominator == 1
+    if integer and k_frac <= EXACT_POWER_MAX:
         ki = k_frac.numerator
         return rational_density(f"power({ki})", (0, 1), [(0,) * (ki - 1) + (ki,)], inverse)
     return DensitySpec(
-        name=f"power({kf})",
+        name=f"power({k_frac.numerator if integer else kf})",
         support_upper=1.0,
         pdf=_masked(1.0, lambda x: kf * np.power(x, kf - 1.0)),
         cdf=_clipped_cdf(1.0, lambda x: np.power(x, kf)),

@@ -67,7 +67,3 @@ class StateSpaceTooLarge(PartialRecordsError, ValueError):
     """A size guard was exceeded: exhaustive discrete enumeration, or
     materializing every comparison set of a plan (to_comparison_plan).
     Saving and hashing a plan use its O(j) form and never raise it."""
-
-
-class NegativeCutoff(PartialRecordsError, ValueError):
-    """Cutoff values must be strictly positive."""

@@ -60,14 +60,6 @@ def _merge_sum_and_squares(x, y):
     return a * f + c * h, b * f * f + d * h * h, l * f
 
 
-def harmonic_number(j):
-    """H_j = 1 + 1/2 + ... + 1/j as an exact Fraction."""
-    j = _index(j, "j")
-    if j < 1:
-        raise IndexOutOfRange(f"need j >= 1, got {j}")
-    return _reciprocal_sum(range(1, j + 1))
-
-
 def cumulative_intensity(plan, j):
     """I_j = sum of 1/c(n_t) over n_t <= j: the expected record count, exact."""
     vplan = as_validated(plan)

@@ -124,9 +124,9 @@ class ValidatedPlan:
     def max_index(self):
         return self.indices[-1]
 
-    def _check(self, t, what="position"):
+    def _check(self, t):
         if not 1 <= t <= self.length:
-            raise IndexOutOfRange(f"{what} {t} not in 1..{self.length}")
+            raise IndexOutOfRange(f"position {t} not in 1..{self.length}")
 
     def index(self, t):
         """Time index n_t at subsequence position t (1-based)."""
@@ -145,13 +145,6 @@ class ValidatedPlan:
         for fresh in self.fresh_sets[:t]:
             members.update(fresh)
         return frozenset(members)
-
-    def drawn_indices(self, horizon=None):
-        """All time indices a simulation must draw to resolve positions 1..horizon."""
-        horizon = self.length if horizon is None else horizon
-        self._check(horizon, "horizon")
-        members = self.comparison_set(horizon) | {self.indices[horizon - 1]}
-        return tuple(sorted(members))
 
     def to_comparison_plan(self):
         """Materialize every comparison set.  Costs O(sum of |C(n_t)|); a plan

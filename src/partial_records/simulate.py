@@ -48,6 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -149,7 +150,6 @@ class CheckpointStat:
     position: int
     time_index: int
     count_sum: int
-    count_sq_sum: int
 
 
 @dataclass(frozen=True)
@@ -354,7 +354,7 @@ def _run_block(config, vplan, horizon, joint, checkpoints, times, values, bounds
                 joint_hits = (hits if joint_hits is None
                               else np.intersect1d(joint_hits, hits, assume_unique=True))
             if t in checkpoints:
-                tally.checkpoint_sums.append((tally.count_sum, tally.count_sq_sum))
+                tally.checkpoint_sums.append(tally.count_sum)
     tally.joint_count = None if joint_hits is None else joint_hits.size
     return tally
 
@@ -377,11 +377,8 @@ def run(config):
     def total(name):
         return sum(getattr(part, name) for part in parts)
 
-    sums = zip(*(part.checkpoint_sums for part in parts))
-    stats = [
-        CheckpointStat(t, vplan.index(t), *map(sum, zip(*at)))
-        for t, at in zip(checkpoints, sums)
-    ]
+    sums = map(sum, zip(*(part.checkpoint_sums for part in parts)))
+    stats = [CheckpointStat(t, vplan.index(t), s) for t, s in zip(checkpoints, sums)]
     return RunResult(
         config=config,
         n=n,
@@ -492,13 +489,16 @@ def replay(config, replication):
     if not 0 <= k < n:
         raise IndexOutOfRange(f"replication {k} not in 0..{n - 1}")
     streams = _KeyedStreams(config.master_seed, k)
-    indices = vplan.drawn_indices(horizon)
+    positions = list(zip(vplan.indices[:horizon], vplan.fresh_sets))
+    indices = sorted(chain.from_iterable((i, *fresh) for i, fresh in positions))
     u = np.concatenate([streams.uniforms(idx, 1) for idx in indices])
     draws = dict(zip(indices, np.asarray(config.density.inverse_cdf(u), dtype=float).tolist()))
+    # C(n_t) is C(n_{t-1}), n_{t-1} and the fresh members, so one running
+    # maximum of their values serves every position
+    best = -math.inf
     indicators = []
-    for t in range(1, horizon + 1):
-        cand = draws[vplan.index(t)]
-        members = vplan.comparison_set(t)
-        best = max((draws[e] for e in members), default=-math.inf)
-        indicators.append(cand > best)
+    for time_index, fresh in positions:
+        best = max([best, *(draws[e] for e in fresh)])
+        indicators.append(draws[time_index] > best)
+        best = max(best, draws[time_index])
     return Replay(replication=k, draws=draws, indicators=tuple(indicators))

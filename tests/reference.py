@@ -83,7 +83,7 @@ def quadrature_bounded(plan, positions, x, density, tol=1e-10, max_cells=1 << 16
     vplan = pr.as_validated(plan)
     positions = pr.check_positions(vplan, positions)
     if x <= 0:
-        raise pr.NegativeCutoff(f"cutoff must be positive, got {x}")
+        raise ValueError(f"cutoff must be positive, got {x}")
     upper = min(float(x), density.support_upper)
 
     cards = [vplan.cardinality(t) for t in positions]

@@ -185,6 +185,13 @@ def test_exact_unknown_density_is_exit_2(capsys, total6_file):
         ["exact", "--plan", total6_file, "--positions", "2", "--x", "0.5", "--density", "nope"]
     )
     assert code == 2
+    # a k beyond the float range is bad input too, not a traceback
+    code = main(
+        ["exact", "--plan", total6_file, "--positions", "2", "--x", "0.5",
+         "--density", "power(1e400)"]
+    )
+    assert code == 2
+    assert "largest float" in capsys.readouterr().err
 
 
 def test_simulate_outputs_and_gates(tmp_path, capsys, total6_file):

@@ -98,6 +98,19 @@ def test_power_cdf_and_inverse():
     assert p15.pieces is None
 
 
+def test_large_integer_power_takes_the_closed_forms():
+    # exact pieces cost O(k^2) Fraction work: 1.6 s at k = 300
+    assert pr.builtin(f"power({pr.distributions.EXACT_POWER_MAX})").pieces is not None
+    for k in (pr.distributions.EXACT_POWER_MAX + 1, 1000, 100_000_000):
+        spec = pr.builtin(f"power({k})")
+        assert spec.name == f"power({k})" and spec.pieces is None
+        # x^k amplifies the rounding of x by k
+        assert float(spec.cdf(0.5 ** (1 / k))) == pytest.approx(0.5, rel=k * 1e-15)
+        assert float(spec.inverse_cdf(0.5)) == pytest.approx(0.5 ** (1 / k), rel=1e-12)
+        assert float(spec.pdf(1.0)) == k
+    verify_density(pr.builtin("power(1000)"))
+
+
 def test_truncated_ramp_piecewise_forms():
     ramp = pr.truncated_ramp_density(Fraction(1, 2))
     # Z = 1/2 - 1/8 = 3/8
@@ -130,6 +143,9 @@ def test_builtin_parser_errors():
         pr.builtin("uniform01(2)")
     with pytest.raises(pr.BadParams):
         pr.builtin("power(x)")
+    for name in ("power(1e400)", f"power({10**400})"):  # beyond the float range
+        with pytest.raises(pr.BadParams, match="largest float"):
+            pr.builtin(name)
 
 
 def test_builtin_parses_fraction_and_decimal_args():

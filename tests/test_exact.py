@@ -36,8 +36,9 @@ def test_joint_requires_increasing_positions(total5):
 
 
 def test_harmonic_number():
-    assert pr.harmonic_number(10) == Fraction(7381, 2520)
-    assert pr.harmonic_number(1) == 1
+    # H_j is the intensity of the total plan on 1..j
+    assert pr.cumulative_intensity(pr.total_comparison_plan(10), 10) == Fraction(7381, 2520)
+    assert pr.cumulative_intensity(pr.total_comparison_plan(1), 1) == 1
 
 
 def test_count_moments_total_comparison():
@@ -68,7 +69,6 @@ def _literal_sums(vplan, j):
 def test_reciprocal_sums_match_literal_sums_on_long_total_plan():
     plan = pr.total_comparison_plan(10_000)
     used, mean, variance = _literal_sums(plan, 10_000)
-    assert pr.harmonic_number(10_000) == mean
     assert pr.cumulative_intensity(plan, 10_000) == mean
     stats = pr.record_count_moments(plan, 10_000)
     assert (stats.positions_used, stats.mean, stats.variance) == (used, mean, variance)

@@ -90,7 +90,6 @@ _TAB = pr.tabulated_density(_XS, 6 * _XS * (1 - _XS), name="tabulated smoothstep
         (lambda ts: pr.joint_record_prob(_TEN, ts), (2.5, 3.7), np.arange(2, 4), Fraction(1, 6)),
         (lambda r: pr.record_time_pmf(_TEN, r).r, 2.7, np.int64(2), 2),
         (lambda t: pr.record_time_pmf(_TEN, 2, t).t_max, 5.5, np.int64(5), 5),
-        (pr.harmonic_number, 3.9, np.int64(3), Fraction(11, 6)),
         (lambda j: pr.record_count_moments(_TEN, j).j, 4.5, np.int64(4), 4),
         (lambda j: pr.cumulative_intensity(_TEN, j), 4.5, np.int64(4), Fraction(25, 12)),
         (lambda ts: pr.EventQuery.positive(ts).positions(), (1.5, 3), (np.int8(1), 3), (1, 3)),
@@ -102,8 +101,6 @@ _TAB = pr.tabulated_density(_XS, 6 * _XS * (1 - _XS), name="tabulated smoothstep
         (lambda c: pr.SimConfig(_TEN, pr.uniform01(), 5, 1, checkpoints=c).resolved()[5],
          (2.5,), (np.int64(2),), (2,)),
         (lambda m: pr.discretize(pr.uniform01(), m).m, 2.5, np.int64(2), 2),
-        (lambda l: pr.theta(pr.uniform01(), 4, l), 2.5, np.int64(2), Fraction(1, 2)),
-        (lambda r: pr.theta(pr.uniform01(), 4, 2, r=r), 1.5, np.int64(2), Fraction(1, 16)),
         (lambda r: pr.lemma_checks(pr.uniform01(), 4, r=r)["cum_vs_cdf"].r, 1.5, np.int64(2), 2),
         # a tabulated density's grid is integers too, so r is checked the same way
         (lambda r: pr.lemma_checks(_TAB, 4, r=r)["cum_vs_cdf"].r, 1.5, np.int64(2), 2),
@@ -116,9 +113,9 @@ _TAB = pr.tabulated_density(_XS, 6 * _XS * (1 - _XS), name="tabulated smoothstep
     ],
     ids=[
         "record_prob", "joint_record_prob", "record_time_pmf-r", "record_time_pmf-t_max",
-        "harmonic_number", "record_count_moments", "cumulative_intensity", "EventQuery.positive",
+        "record_count_moments", "cumulative_intensity", "EventQuery.positive",
         "SimConfig-replications", "SimConfig-horizon", "SimConfig-r_max", "SimConfig-checkpoints",
-        "discretize", "theta-l", "theta-r", "lemma_checks-r", "lemma_checks-r-float-grid",
+        "discretize", "lemma_checks-r", "lemma_checks-r-float-grid",
         "replay", "random_compatible_plan-max_index", "random_compatible_plan-max_positions",
     ],
 )
@@ -145,7 +142,6 @@ def test_chained_plan_must_start_at_one():
 def test_validate_accepts_handcrafted_compatible_plan(partial_plan):
     assert partial_plan.cardinalities == (2, 4, 5)
     assert partial_plan.comparison_set(2) == {1, 2, 3}
-    assert partial_plan.drawn_indices() == (1, 2, 3, 4, 5)
 
 
 def test_validate_reports_every_violation():

@@ -51,7 +51,7 @@ def test_quadrature_matches_product_times_power(partial_plan):
 
 
 def test_quadrature_rejects_nonpositive_cutoff(total5):
-    with pytest.raises(pr.NegativeCutoff):
+    with pytest.raises(ValueError, match="cutoff must be positive"):
         quadrature_bounded(total5, (2,), 0.0, pr.uniform01())
 
 

@@ -54,7 +54,7 @@ def _value_domain_run(config):
             times[r][hit] = t
             values[r][hit] = candidate[hit]
         if t in checkpoints:
-            stats.append((t, vplan.index(t), int(counts.sum()), int((counts**2).sum())))
+            stats.append((t, vplan.index(t), int(counts.sum())))
     return dict(event_counts=tuple(event_counts), joint_count=int(np.count_nonzero(joint_mask)),
                 count_sum=int(counts.sum()), count_sq_sum=int((counts**2).sum()), ties=ties,
                 stats=stats, times=times, values=values)
@@ -388,6 +388,47 @@ def test_replay_on_partial_plan_regenerates_only_drawn_indices(partial_plan):
     rep = pr.replay(cfg, 4)
     assert set(rep.draws) == {1, 2, 3, 4, 5}
     assert len(rep.indicators) == 3
+
+
+def _replay_by_materialized_sets(config, k):
+    """Replay as first written: draw element k of every index in C(n_h) and
+    n_h, then compare each candidate with the maximum over its comparison
+    set, materialized afresh at every position."""
+    vplan = pr.as_validated(config.plan)
+    horizon = config.horizon or vplan.length
+    indices = sorted(vplan.comparison_set(horizon) | {vplan.index(horizon)})
+    draws = {i: float(pr.column(config.master_seed, i, k + 1, config.density)[k]) for i in indices}
+    indicators = tuple(
+        draws[vplan.index(t)] > max((draws[e] for e in vplan.comparison_set(t)), default=-math.inf)
+        for t in range(1, horizon + 1)
+    )
+    return draws, indicators
+
+
+def test_replay_matches_materialized_set_reference():
+    plan = pr.as_validated(
+        pr.random_compatible_plan(np.random.default_rng(2), max_index=600, max_positions=400)
+    )
+    # a few hundred positions, and fresh members below the previous index
+    assert plan.length > 300
+    assert any(f and min(f) < n for n, f in zip(plan.indices, plan.fresh_sets[1:]))
+    for horizon in (None, plan.length // 2):
+        cfg = _config(plan, pr.uniform01(), 20, 5, horizon=horizon)
+        for k in (0, 7, 19):
+            rep = pr.replay(cfg, k)
+            draws, indicators = _replay_by_materialized_sets(cfg, k)
+            assert list(rep.draws.items()) == list(draws.items())
+            assert rep.indicators == indicators
+
+
+def test_replay_is_linear_in_the_horizon():
+    # rebuilding C(n_t) at each position took minutes here; one pass takes
+    # well under a second
+    cfg = _config(pr.total_comparison_plan(20_000), pr.uniform01(), 1, 1)
+    started = time.monotonic()
+    rep = pr.replay(cfg, 0)
+    assert time.monotonic() - started < 10
+    assert len(rep.draws) == len(rep.indicators) == 20_000 and rep.indicators[0]
 
 
 def test_event_frequencies_within_four_sigma(three_densities, total5):
