@@ -451,7 +451,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_discrete_sweep)
 
-    p = sub.add_parser("oracle-check", help="product formula vs exhaustive enumeration")
+    p = sub.add_parser("oracle-check", help="product formula vs a count over all orderings")
     p.add_argument("--plan", required=True)
     p.add_argument(
         "--max-index",
@@ -459,8 +459,8 @@ def build_parser():
         default=8,
         dest="max_index",
         help="cap on the number of relevant indices (default %(default)s, hard "
-        f"limit {_oracle._PERM_LIMIT}); k relevant indices means enumerating all "
-        "k! orderings",
+        f"limit {_oracle._INDEX_LIMIT}); the k! orderings of k relevant indices "
+        "are counted in one pass over at most 3^k states",
     )
     p.set_defaults(func=cmd_oracle_check)
 

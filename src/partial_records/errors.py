@@ -32,7 +32,7 @@ class EmptySelection(PartialRecordsError, ValueError):
 
 
 class TooManyIndices(PartialRecordsError, ValueError):
-    """Exhaustive permutation enumeration would be too large."""
+    """The permutation oracle's relevant indices exceed its cap."""
 
 
 class RankTooLarge(PartialRecordsError, ValueError):

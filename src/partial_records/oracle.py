@@ -3,13 +3,15 @@
 Two oracles, neither of which shares code paths with the closed forms it
 checks:
 
-* exact_joint / exact_joint_table enumerate rank orderings of the relevant
+* exact_joint / exact_joint_table count rank orderings of the k relevant
   indices.  For continuous i.i.d. values every ordering of distinct values
   is equally likely, so any record-event probability is (#orderings where
-  the event holds) / k!, an exact rational.  The orderings are streamed in
-  blocks of at most 8! that share their first k - 8 items, one int8 row per
-  relevant index, so a block takes about 8!·k bytes (403 kB at k = 10) and
-  the enumeration never holds the 36 MB table of all 10! orderings.
+  the event holds) / k!, an exact rational.  The orderings are counted by
+  their event code, the set of selected positions whose event holds, in one
+  pass that places the relevant indices from the lowest rank up: the event
+  at n_t holds when every member of C(n_t) is placed before n_t, so
+  orderings that agree on the set placed so far and on the events decided
+  so far merge into one state.  At most 3^k states, 59 049 at k = 10.
 
 * exhaustive_discrete_joint enumerates every outcome of the relevant atoms
   of a discrete model and adds up the probabilities of outcomes where all
@@ -21,8 +23,6 @@ their defining recursion, which lives with the tests (tests/reference.py).
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,64 +30,7 @@ import numpy as np
 from .errors import StateSpaceTooLarge, TooManyIndices
 from .plan import EventQuery, as_validated, check_positions
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-_PERM_LIMIT = 10
-_BLOCK = 8  # orderings come in blocks of 8!, one per prefix of the other items
-
-
-def _perm_table(k):
-    """All orderings of k items as a (k!, k) array of ranks.
-
-    Rows follow the lexicographic order of itertools.permutations.  The
-    orderings of n items are, for each first item in turn, that item followed
-    by the orderings of n - 1 items relabelled onto the remaining ones; the
-    table is built that way, transposed, and returned as a column-major view
-    so that each item's column is contiguous.
-    """
-    if k not in _PERM_CACHE:
-        table = np.empty((0, 1), dtype=np.int8)  # the one ordering of no items
-        for n in range(1, k + 1):
-            block = table.shape[1]
-            items = np.arange(n, dtype=np.int8)
-            grown = np.empty((n, n * block), dtype=np.int8)
-            for first in range(n):
-                cols = slice(first * block, (first + 1) * block)
-                grown[0, cols] = first
-                grown[1:, cols] = np.delete(items, first)[table]
-            table = grown
-        _PERM_CACHE[k] = table.T
-    return _PERM_CACHE[k]
-
-
-def _ordering_blocks(k, max_indices=_PERM_LIMIT):
-    """All k! orderings of k items in itertools.permutations order, as
-    index-major (k, rows) int8 blocks of ranks: row j holds item j's rank.
-
-    For k <= 8 the one block is the whole table.  Above that each block is
-    one prefix of k - 8 items followed by the 8! orderings of the other 8,
-    in ascending order; the block holds 8!·k bytes whatever k is.
-    """
-    if k > max_indices:
-        raise TooManyIndices(f"{k} relevant indices exceeds requested cap {max_indices}")
-    if k > _PERM_LIMIT:
-        raise TooManyIndices(
-            f"{k} relevant indices implies {k}! orderings; limit is {_PERM_LIMIT}"
-        )
-    if k <= _BLOCK:
-        yield _perm_table(k).T
-        return
-    head = k - _BLOCK
-    base = _perm_table(_BLOCK).T
-    for prefix in itertools.permutations(range(k), head):
-        block = np.empty((k, base.shape[1]), dtype=np.int8)
-        block[:head] = np.reshape(prefix, (head, 1))
-        # rank i of the other 8 becomes the i-th item not in the prefix:
-        # each prefix item, in ascending order, bumps the ranks at or above it
-        tail = block[head:]
-        tail[...] = base
-        for item in sorted(prefix):
-            tail += tail >= item
-        yield block
+_INDEX_LIMIT = 10
 
 
 def relevant_indices(plan, positions):
@@ -120,55 +63,85 @@ def _event_masks(vplan, positions, rel, values):
     return masks
 
 
-def exact_joint(plan, query, max_indices=_PERM_LIMIT):
+def _code_counts(vplan, positions, max_indices):
+    """Orderings of the relevant indices counted by event code.
+
+    Returns (codes, counts): bit b of a code says the event at positions[b]
+    holds, and counts[i] orderings have code codes[i]; the codes are
+    distinct and the counts sum to k!.
+    """
+    rel = relevant_indices(vplan, positions)
+    k = len(rel)
+    cap = min(max_indices, _INDEX_LIMIT)
+    if k > cap:
+        raise TooManyIndices(f"{k} relevant indices exceeds cap {cap}")
+    item = {idx: j for j, idx in enumerate(rel)}
+    decides = {}  # candidate item -> (its code bit, its comparison set as a mask)
+    for b, t in enumerate(positions):
+        members = sum(1 << item[e] for e in vplan.comparison_set(t))
+        decides[item[vplan.index(t)]] = (1 << (k + b), members)
+
+    # a state's key is its placed set in the low k bits and its code above;
+    # every count is at most k! <= 10!, so int64 sums are exact
+    keys = np.zeros(1, dtype=np.int64)
+    counts = np.ones(1, dtype=np.int64)
+    for _ in range(k):
+        placed = keys & ((1 << k) - 1)
+        grown, carried = [], []
+        for j in range(k):
+            free = placed & (1 << j) == 0
+            key = keys[free] | (1 << j)
+            if j in decides:
+                bit, members = decides[j]
+                key |= np.where(placed[free] & members == members, bit, 0)
+            grown.append(key)
+            carried.append(counts[free])
+        keys = np.concatenate(grown)
+        order = np.argsort(keys)
+        keys, counts = keys[order], np.concatenate(carried)[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys, counts = keys[starts], np.add.reduceat(counts, starts)
+    return keys >> k, counts
+
+
+def exact_joint(plan, query, max_indices=_INDEX_LIMIT):
     """Exact probability of a conjunction of (possibly negated) record events.
 
-    query is an EventQuery or a sequence of positions.  Enumerates orderings
-    of the relevant indices, so the union of the involved comparison sets must
+    query is an EventQuery or a sequence of positions.  Counts orderings of
+    the relevant indices, so the union of the involved comparison sets must
     stay small.
     """
     if not isinstance(query, EventQuery):
         query = EventQuery.positive(query)
-    vplan = as_validated(plan)
     positions = query.positions()
-    rel = relevant_indices(vplan, positions)
-    hits = 0
-    for block in _ordering_blocks(len(rel), max_indices):
-        combined = np.ones(block.shape[1], dtype=bool)
-        for term, mask in zip(query.terms, _event_masks(vplan, positions, rel, block)):
-            combined &= ~mask if term.negated else mask
-        hits += int(np.count_nonzero(combined))
-    return Fraction(hits, math.factorial(len(rel)))
+    codes, counts = _code_counts(as_validated(plan), positions, max_indices)
+    want = sum(1 << b for b, term in enumerate(query.terms) if not term.negated)
+    return Fraction(int(counts[codes == want].sum()), int(counts.sum()))
 
 
-def exact_joint_table(plan, positions=None, max_indices=_PERM_LIMIT):
+def exact_joint_table(plan, positions=None, max_indices=_INDEX_LIMIT):
     """Joint probability of every nonempty subset of the selected positions.
 
-    One enumeration pass: each ordering is coded by the set of positions
-    whose event it satisfies, then subset counts come from summing codes
-    over supersets.  Returns {subset tuple: Fraction}.
+    One counting pass codes each ordering by the set of positions whose
+    event it satisfies, then subset counts come from summing codes over
+    supersets.  Returns {subset tuple: Fraction}.
     """
     vplan = as_validated(plan)
     if positions is None:
         positions = tuple(range(1, vplan.length + 1))
     positions = check_positions(vplan, positions)
-    rel = relevant_indices(vplan, positions)
+    codes, by_code = _code_counts(vplan, positions, max_indices)
 
-    # bits <= len(rel) <= _PERM_LIMIT, so every code fits in 16 bits
     bits = len(positions)
     counts = np.zeros(1 << bits, dtype=np.int64)
-    for block in _ordering_blocks(len(rel), max_indices):
-        code = np.zeros(block.shape[1], dtype=np.uint16)
-        for b, mask in enumerate(_event_masks(vplan, positions, rel, block)):
-            code |= mask.astype(np.uint16) << b
-        counts += np.bincount(code, minlength=1 << bits)
+    counts[codes] = by_code
     for b in range(bits):
         bit = 1 << b
         for m in range(1 << bits):
             if not m & bit:
                 counts[m] += counts[m | bit]
 
-    total = math.factorial(len(rel))
+    total = int(by_code.sum())
     table = {}
     for m in range(1, 1 << bits):
         subset = tuple(positions[b] for b in range(bits) if m >> b & 1)

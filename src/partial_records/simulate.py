@@ -8,8 +8,8 @@ Any single draw can be regenerated after the fact for auditing.
 Chunks: nested comparison sets mean one running maximum per replication
 suffices.  A block draws its columns in plan order into chunks of
 max(1, CHUNK // width) rows, one candidate column per row, and tallies each
-chunk at once; a chunk ends after position 1, at each joint or checkpoint
-position, at the horizon, when its rows are full, and before a position with
+chunk at once; a chunk ends after position 1, at each joint position, at
+the horizon, when its rows are full, and before a position with
 fresh comparison indices, whose draws go straight into the running maximum
 ahead of the chunk.  The maximum only grows along a chunk, so only
 replications with a row at or above their chunk-start maximum can hit or tie
@@ -22,7 +22,7 @@ MIN_BLOCK replications, and runs each block's pass over the positions on its
 own thread (the draws, ufuncs and indexing release the GIL).  A block that
 starts at replication lo draws elements lo.. of every stream.  Each block
 writes its columns of the record time and value arrays in place, and every
-other tally is an exact Python integer summed over replications, so the
+other tally is an exact integer summed over replications, so the
 merged result is bit-identical for every block count, thread count and
 memory layout.
 
@@ -48,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -222,9 +222,8 @@ class _Tally:
         self.counts = np.zeros(times.shape[1], dtype=np.int32)
         self.times, self.values = times, values
         self.event_counts = []
-        self.checkpoint_sums = []
         self.joint_count = None
-        self.ties = self.count_sum = self.count_sq_sum = 0
+        self.ties = 0
 
     def chunk(self, t, rows, running_max, compared):
         """Tally the positions of one chunk, the last at t, and return the
@@ -297,9 +296,7 @@ class _Tally:
         return hit_values[record], record
 
     def _record(self, rank, cols, when, values):
-        """Count records of the given ranks; keep times and values up to r_max."""
-        self.count_sum += rank.size
-        self.count_sq_sum += 2 * int(rank.sum(dtype=np.int64)) - rank.size
+        """Keep the times and values of records of rank up to r_max."""
         tracked = rank <= len(self.times)
         if not tracked.all():  # never early on, where hits are many
             rank, cols, values = rank[tracked], cols[tracked], values[tracked]
@@ -329,7 +326,7 @@ def _blocks(n, count):
     return list(zip(cuts, cuts[1:]))
 
 
-def _run_block(config, vplan, horizon, joint, checkpoints, times, values, bounds):
+def _run_block(config, vplan, horizon, joint, times, values, bounds):
     """The pass over plan positions for replications lo..hi-1; returns its _Tally."""
     lo, hi = bounds
     streams = _KeyedStreams(config.master_seed, lo)
@@ -337,7 +334,7 @@ def _run_block(config, vplan, horizon, joint, checkpoints, times, values, bounds
     running_max = np.full(hi - lo, -np.inf)  # uniforms, like the candidates
     rows = np.empty((max(1, CHUNK // (hi - lo)), hi - lo))
     used = 0  # rows filled in the open chunk
-    stops = {1, horizon} | joint | checkpoints
+    stops = {1, horizon} | joint
     joint_hits = None
 
     fresh_sets = vplan.fresh_sets
@@ -353,8 +350,6 @@ def _run_block(config, vplan, horizon, joint, checkpoints, times, values, bounds
             if t in joint:
                 joint_hits = (hits if joint_hits is None
                               else np.intersect1d(joint_hits, hits, assume_unique=True))
-            if t in checkpoints:
-                tally.checkpoint_sums.append(tally.count_sum)
     tally.joint_count = None if joint_hits is None else joint_hits.size
     return tally
 
@@ -364,8 +359,7 @@ def run(config):
     vplan, horizon, n, joint, r_max, checkpoints = config.resolved()
     times = np.zeros((r_max, n), dtype=np.int32)
     values = np.full((r_max, n), np.nan)
-    block = partial(_run_block, config, vplan, horizon, set(joint), set(checkpoints),
-                    times, values)
+    block = partial(_run_block, config, vplan, horizon, set(joint), times, values)
     bounds = _blocks(n, _block_count(n))
     if len(bounds) == 1:
         parts = [block(bounds[0])]
@@ -377,16 +371,20 @@ def run(config):
     def total(name):
         return sum(getattr(part, name) for part in parts)
 
-    sums = map(sum, zip(*(part.checkpoint_sums for part in parts)))
-    stats = [CheckpointStat(t, vplan.index(t), s) for t, s in zip(checkpoints, sums)]
+    # a replication's record count is the number of positions where it sets
+    # a record, so the count sum up to position t is a prefix sum of the
+    # event counts, and the final counts give the sum of squares
+    event_counts = tuple(map(sum, zip(*(part.event_counts for part in parts))))
+    count_sums = (0, *accumulate(event_counts))
+    stats = [CheckpointStat(t, vplan.indices[t - 1], count_sums[t]) for t in checkpoints]
     return RunResult(
         config=config,
         n=n,
         horizon=horizon,
-        event_counts=tuple(map(sum, zip(*(part.event_counts for part in parts)))),
+        event_counts=event_counts,
         joint_count=total("joint_count") if joint else None,
-        count_sum=total("count_sum"),
-        count_sq_sum=total("count_sq_sum"),
+        count_sum=count_sums[-1],
+        count_sq_sum=sum(int(np.square(part.counts, dtype=np.int64).sum()) for part in parts),
         tie_count=total("ties"),
         checkpoint_stats=tuple(stats),
         record_times={r: times[r - 1] for r in range(1, r_max + 1)},

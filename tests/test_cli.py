@@ -559,6 +559,20 @@ def test_oracle_check_passes(capsys, total6_file):
     assert data["subsets"] == 63
 
 
+@pytest.mark.parametrize(
+    "length, argv, cap",
+    [(50, [], "cap 8"), (11, ["--max-index", "11"], "cap 10")],
+)
+def test_oracle_check_over_the_index_cap_is_exit_2(capsys, tmp_path, length, argv, cap):
+    # a table over 50 positions is never sized: the cap is checked first
+    path = tmp_path / "plan.json"
+    pr.save_plan_file(pr.total_comparison_plan(length), path)
+    assert main(["oracle-check", "--plan", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert cap in captured.err
+
+
 def test_cli_entrypoint_runs_as_module(total6_file):
     proc = subprocess.run(
         [sys.executable, "-m", "partial_records.cli", "validate", "--plan", total6_file],

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import partial_records as pr
-from partial_records.oracle import _ordering_blocks, _perm_table
 
 
 def test_permutation_oracle_trivial_cases(total5):
@@ -44,21 +43,12 @@ def test_relevant_indices_and_size_guard():
     assert pr.relevant_indices(plan, (3,)) == (1, 2, 3)
     with pytest.raises(pr.TooManyIndices):
         pr.exact_joint(plan, (12,))  # 12 relevant indices > default cap
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-def test_perm_table_matches_itertools_order(k):
-    want = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
-    got = _perm_table(k)
-    assert got.dtype == np.int8
-    np.testing.assert_array_equal(got, want)
-
-
-def test_perm_table_edges():
-    assert _perm_table(0).shape == (1, 0)
-    assert [b.shape for b in _ordering_blocks(0)] == [(0, 1)]
+    # 11 relevant indices pass the caller's cap of 11 but not the hard limit
+    plan = pr.total_comparison_plan(11)
     with pytest.raises(pr.TooManyIndices):
-        next(_ordering_blocks(11))
+        pr.exact_joint(plan, (11,), max_indices=11)
+    with pytest.raises(pr.TooManyIndices):
+        pr.exact_joint_table(plan, max_indices=11)
 
 
 def test_permutation_oracle_at_the_index_cap():
@@ -76,35 +66,6 @@ def test_permutation_oracle_at_the_index_cap():
         p = Fraction(1, term.position)
         want *= 1 - p if term.negated else p
     assert pr.exact_joint(plan, q) == want
-
-
-def test_ordering_blocks_concatenate_to_itertools_order():
-    k = 9
-    want = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(k))),
-        dtype=np.int8,
-        count=k * math.factorial(k),
-    ).reshape(-1, k)
-    blocks = [block.T for block in _ordering_blocks(k)]
-    assert [b.shape for b in blocks] == [(math.factorial(8), k)] * k
-    np.testing.assert_array_equal(np.concatenate(blocks), want)
-
-
-def test_ordering_blocks_at_the_limit_are_90_ascending_blocks():
-    # each column read as a base-10 number: strictly ascending over all 10!
-    # permutation columns is exactly itertools.permutations order
-    k = 10
-    weights = 10 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    heads = list(itertools.permutations(range(k), 2))
-    last, count = -1, 0
-    for n, block in enumerate(_ordering_blocks(k)):
-        assert block.dtype == np.int8 and block.shape == (k, math.factorial(8))
-        assert np.all(np.bitwise_or.reduce(1 << block.astype(np.int16), axis=0) == 2**k - 1)
-        np.testing.assert_array_equal(block[:2, 0], heads[n])
-        codes = weights @ block.astype(np.int64)
-        assert codes[0] > last and np.all(np.diff(codes) > 0)
-        last, count = codes[-1], count + 1
-    assert count == len(heads) == 90
 
 
 @functools.lru_cache(maxsize=1)
@@ -139,13 +100,13 @@ def _random_plans():
 
 
 def test_permutation_oracle_equals_full_table_reference_on_random_plans():
-    interleaved = multi_block = 0
+    interleaved = over_eight = 0
     for vplan, rng in _random_plans():
         positions = tuple(range(1, vplan.length + 1))
         rel = pr.relevant_indices(vplan, positions)
         fresh = set(rel) - set(vplan.indices)
         interleaved += bool(fresh) and min(fresh) < max(vplan.indices)
-        multi_block += len(rel) > 8
+        over_eight += len(rel) > 8
         masks, total = _reference_masks(vplan, positions)
 
         # orderings by the set of events they satisfy; a subset's joint
@@ -165,7 +126,7 @@ def test_permutation_oracle_equals_full_table_reference_on_random_plans():
         assert pr.exact_joint(vplan, query, max_indices=10) == Fraction(
             int(np.count_nonzero(hold)), total
         )
-    assert interleaved >= 10 and multi_block >= 5
+    assert interleaved >= 10 and over_eight >= 5
 
 
 def test_permutation_oracle_memory_stays_within_a_block():
