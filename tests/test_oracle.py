@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import partial_records as pr
+from partial_records.oracle import _code_counts
 
 
 def test_permutation_oracle_trivial_cases(total5):
@@ -127,6 +128,63 @@ def test_permutation_oracle_equals_full_table_reference_on_random_plans():
             int(np.count_nonzero(hold)), total
         )
     assert interleaved >= 10 and over_eight >= 5
+
+
+def _plan_with_relevant(k):
+    """The first seeded random compatible plan whose positions involve k indices."""
+    for seed in itertools.count():
+        rng = np.random.default_rng(seed)
+        vplan = pr.as_validated(pr.random_compatible_plan(rng, max_index=k))
+        if len(pr.relevant_indices(vplan, range(1, vplan.length + 1))) == k:
+            return vplan
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_code_counts_match_itertools_orderings(k):
+    vplan = _plan_with_relevant(k)
+    positions = tuple(range(1, vplan.length + 1))
+    masks, total = _reference_masks(vplan, positions)
+    code = sum(mask.astype(np.int64) << b for b, mask in enumerate(masks))
+    want_codes, want_counts = np.unique(code, return_counts=True)
+    codes, counts = _code_counts(vplan, positions, 10)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(codes, want_codes)
+    np.testing.assert_array_equal(counts, want_counts)
+    assert total == math.factorial(k)
+
+
+def test_code_counts_at_the_index_limit_factor_by_independence():
+    # total(10): the events are independent with P(record at t) = 1/t, so a
+    # code's count is 10! times its product; position 1 always holds, and
+    # codes without it never appear
+    k = 10
+    plan = pr.as_validated(pr.total_comparison_plan(k))
+    positions = tuple(range(1, k + 1))
+    codes, counts = _code_counts(plan, positions, k)
+    np.testing.assert_array_equal(codes, np.arange(1, 2**k, 2))
+    assert counts.sum() == math.factorial(k)
+    for code, count in zip(codes.tolist(), counts.tolist()):
+        want = Fraction(math.factorial(k))
+        for b, t in enumerate(positions):
+            want *= Fraction(1, t) if code >> b & 1 else 1 - Fraction(1, t)
+        assert count == want, code
+
+
+def test_code_counts_on_a_subset_of_positions_marginalise_the_full_count():
+    # dropping positions may shrink the relevant set, so compare probabilities
+    for seed in range(20):
+        vplan = pr.as_validated(pr.random_compatible_plan(np.random.default_rng(seed), 8))
+        full = tuple(range(1, vplan.length + 1))
+        kept = full[::2]
+        codes, counts = _code_counts(vplan, full, 10)
+        sub_codes, sub_counts = _code_counts(vplan, kept, 10)
+        restricted = sum((codes >> (2 * b) & 1) << b for b in range(len(kept)))
+        want = {}
+        for c, n in zip(restricted.tolist(), counts.tolist()):
+            want[c] = want.get(c, 0) + Fraction(n, int(counts.sum()))
+        sub_total = int(sub_counts.sum())
+        got = {c: Fraction(n, sub_total) for c, n in zip(sub_codes.tolist(), sub_counts.tolist())}
+        assert got == want, seed
 
 
 def test_permutation_oracle_memory_stays_within_a_block():
